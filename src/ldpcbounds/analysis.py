@@ -25,11 +25,37 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from .bounds import brute_force_f, moore_bound
 from .decoder import ErrorPattern, is_fixed_point
 from .graphs import CheckPartition, TannerGraph, girth, induced_check_partition
+
+
+class _SubsetWalk:
+    """Variable subsets of sizes ``1..max_size``, sizes ascending, lexicographic within a size.
+
+    Stops after ``budget`` subsets. The counters stay exact when a caller
+    breaks out of the loop: ``visited`` includes the last subset handed out.
+    """
+
+    def __init__(self, n: int, max_size: int, budget: int):
+        self.n = n
+        self.max_size = max_size
+        self.budget = budget
+        self.visited = 0
+        self.sizes_completed = 0
+        self.complete = True
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        for k in range(1, min(self.max_size, self.n) + 1):
+            for subset in combinations(range(self.n), k):
+                if self.visited >= self.budget:
+                    self.complete = False
+                    return
+                self.visited += 1
+                yield subset
+            self.sizes_completed = k
 
 
 def expansion(t: TannerGraph, subset: Iterable[int]) -> Fraction:
@@ -87,45 +113,32 @@ def verify_main_theorem(
     n0 = moore_bound(Fraction(t.gamma, 2), g // 2)
     # largest integer strictly below the Moore count
     k_required = math.ceil(n0) - 1
-    k_cap = min(k_required, t.n)
     masks = t.var_masks
-    checked = 0
+    walk = _SubsetWalk(t.n, k_required, budget)
     worst_subset: tuple[int, ...] = ()
     worst: Union[Fraction, None] = None
     passed = True
-    complete = True
-    k_done = 0
-    for k in range(1, k_cap + 1):
-        size_done = True
-        for subset in combinations(range(t.n), k):
-            if checked >= budget:
-                size_done = False
-                complete = False
-                break
-            checked += 1
-            union = 0
-            for v in subset:
-                union |= masks[v]
-            ratio = Fraction(union.bit_count(), k)
-            if worst is None or ratio < worst:
-                worst = ratio
-                worst_subset = subset
-            if ratio <= threshold:
-                passed = False
-        if not size_done:
-            break
-        k_done = k
+    for subset in walk:
+        union = 0
+        for v in subset:
+            union |= masks[v]
+        ratio = Fraction(union.bit_count(), len(subset))
+        if worst is None or ratio < worst:
+            worst = ratio
+            worst_subset = subset
+        if ratio <= threshold:
+            passed = False
     return ExpansionCertificate(
         gamma=t.gamma,
         girth=g,
         threshold=threshold,
         k_max_required=k_required,
-        k_max_checked=k_done,
-        subsets_checked=checked,
+        k_max_checked=walk.sizes_completed,
+        subsets_checked=walk.visited,
         worst_subset=worst_subset,
         worst_expansion=worst,
         passed=passed,
-        complete=complete,
+        complete=walk.complete,
     )
 
 
@@ -303,47 +316,30 @@ def search_min_trapping_set(
     if max_size < 0:
         raise ValueError(f"max_size must be nonnegative, got {max_size}")
     masks = t.var_masks
-    visited = 0
-    complete = True
-    sizes_completed = 0
-    for k in range(1, min(max_size, t.n) + 1):
-        size_done = True
-        for subset in combinations(range(t.n), k):
-            if visited >= budget:
-                size_done = False
-                complete = False
+    need = [(len(adj) + 1) // 2 for adj in t.var_adj]
+    walk = _SubsetWalk(t.n, max_size, budget)
+    found = None
+    for subset in walk:
+        # condition (a) inline, as in _condition_a: the search's hot loop
+        parity = 0
+        present = 0
+        for v in subset:
+            parity ^= masks[v]
+            present |= masks[v]
+        even = present & ~parity
+        for v in subset:
+            if (masks[v] & even).bit_count() < need[v]:
                 break
-            visited += 1
-            parity = 0
-            present = 0
-            for v in subset:
-                parity ^= masks[v]
-                present |= masks[v]
-            even = present & ~parity
-            ok = True
-            for v in subset:
-                if (masks[v] & even).bit_count() < (t.var_degree(v) + 1) // 2:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            if potential_only or is_trapping_set(t, subset):
-                return TrappingSearchResult(
-                    found=classify_subset(t, subset),
-                    max_size=max_size,
-                    sizes_completed=k - 1,
-                    subsets_visited=visited,
-                    complete=complete,
-                    potential_only=potential_only,
-                )
-        if not size_done:
-            break
-        sizes_completed = k
+        else:
+            report = classify_subset(t, subset)
+            if potential_only or report.is_trapping:
+                found = report
+                break
     return TrappingSearchResult(
-        found=None,
+        found=found,
         max_size=max_size,
-        sizes_completed=sizes_completed,
-        subsets_visited=visited,
-        complete=complete,
+        sizes_completed=walk.sizes_completed,
+        subsets_visited=walk.visited,
+        complete=walk.complete,
         potential_only=potential_only,
     )

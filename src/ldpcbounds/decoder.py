@@ -7,18 +7,20 @@ depend only on the error. A variable flips when strictly more of its checks
 are unsatisfied than satisfied; exact ties do not flip, which matters for
 even degrees.
 
-The parallel decoder flips all qualifying variables at once per round. The
-serial decoder scans variables in a fixed order (ascending by default) and
-updates the syndrome immediately after each flip, so one round is one full
-scan.
+One driver runs both decoders and decides the status after each round. The
+schedules differ only in their scan rule: the parallel scan flips all
+qualifying variables at once, the serial scan visits variables in a fixed
+order (ascending by default) and updates the syndrome after each flip, so
+one round is one full scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
-from typing import Iterable, Sequence, Union
+from functools import partial
+from itertools import combinations, compress
+from typing import Callable, Iterable, Sequence, Union
 
 from .graphs import TannerGraph
 
@@ -74,32 +76,93 @@ class DecodeResult:
     flips_per_round: tuple[tuple[int, ...], ...]
 
 
-def _check_pattern(t: TannerGraph, e: ErrorPattern) -> None:
+def _syndrome(t: TannerGraph, e: ErrorPattern) -> bytearray:
+    """Per-check parity of ``e`` (1 marks an unsatisfied check), after checking its length."""
     if e.length != t.n:
         raise ValueError(f"pattern length {e.length} does not match code length {t.n}")
+    syndrome = bytearray(t.m)
+    for v in e.support:
+        for c in t.var_adj[v]:
+            syndrome[c] ^= 1
+    return syndrome
 
 
 def unsatisfied_checks(t: TannerGraph, e: ErrorPattern) -> frozenset[int]:
     """Checks whose neighbourhood holds an odd number of errors."""
-    _check_pattern(t, e)
-    parity = [0] * t.m
+    return frozenset(compress(range(t.m), _syndrome(t, e)))
+
+
+def _parallel_scan(t: TannerGraph, syndrome: bytearray) -> tuple[int, ...]:
+    """Flip every qualifying variable at once, updating ``syndrome``; return them ascending."""
+    var_adj = t.var_adj
+    hits = [0] * t.n
+    for vs in compress(t.check_adj, syndrome):
+        for v in vs:
+            hits[v] += 1
+    flipped = tuple(v for v, h, adj in zip(range(t.n), hits, var_adj) if 2 * h > len(adj))
+    for v in flipped:
+        for c in var_adj[v]:
+            syndrome[c] ^= 1
+    return flipped
+
+
+def _serial_scan(t: TannerGraph, order: Sequence[int], syndrome: bytearray) -> tuple[int, ...]:
+    """Flip qualifying variables one by one in ``order``, updating ``syndrome`` after each."""
+    peek = syndrome.__getitem__
+    flipped = []
+    for v in order:
+        adj = t.var_adj[v]
+        if 2 * sum(map(peek, adj)) > len(adj):
+            for c in adj:
+                syndrome[c] ^= 1
+            flipped.append(v)
+    return tuple(flipped)
+
+
+def _decode(
+    t: TannerGraph,
+    e: ErrorPattern,
+    max_iters: Union[int, None],
+    scan: Callable[[bytearray], tuple[int, ...]],
+) -> DecodeResult:
+    """Run ``scan`` once per round on the syndrome of ``e`` until a status applies."""
+    syndrome = _syndrome(t, e)
+    if max_iters is None:
+        max_iters = max(t.n, 1)
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be positive, got {max_iters}")
+    if e.weight == 0:
+        return DecodeResult(DecodeStatus.CORRECTED, e, 0, ())
+    bits = bytearray(t.n)
     for v in e.support:
-        for c in t.var_adj[v]:
-            parity[c] ^= 1
-    return frozenset(c for c in range(t.m) if parity[c])
-
-
-def _flip_candidates(t: TannerGraph, unsat: frozenset[int]) -> tuple[int, ...]:
-    count = [0] * t.n
-    for c in unsat:
-        for v in t.check_adj[c]:
-            count[v] += 1
-    return tuple(v for v in range(t.n) if 2 * count[v] > t.var_degree(v))
+        bits[v] = 1
+    seen = {bytes(bits)}
+    flips: list[tuple[int, ...]] = []
+    while True:
+        flipped = scan(syndrome)
+        flips.append(flipped)
+        for v in flipped:
+            bits[v] ^= 1
+        state = bytes(bits)
+        if not flipped:
+            # the no-flip round still ran: a fixed point costs exactly one round
+            status = DecodeStatus.FIXED_POINT
+        elif 1 not in bits:
+            status = DecodeStatus.CORRECTED
+        elif state in seen:
+            status = DecodeStatus.OSCILLATION
+        elif len(flips) >= max_iters:
+            status = DecodeStatus.MAX_ITERS
+        else:
+            seen.add(state)
+            continue
+        final = ErrorPattern(t.n, tuple(compress(range(t.n), bits)))
+        return DecodeResult(status, final, len(flips), tuple(flips))
 
 
 def parallel_round(t: TannerGraph, e: ErrorPattern) -> tuple[ErrorPattern, tuple[int, ...]]:
     """One parallel flip round: returns the new pattern and the flipped positions."""
-    flipped = _flip_candidates(t, unsatisfied_checks(t, e))
+    flipped = _parallel_scan(t, _syndrome(t, e))
     return e.flip(flipped), flipped
 
 
@@ -109,7 +172,7 @@ def is_fixed_point(t: TannerGraph, e: ErrorPattern) -> bool:
     The zero pattern is trivially a fixed point. Both decoders stall exactly
     on the fixed points, parallel in one round and serial in one scan.
     """
-    return not _flip_candidates(t, unsatisfied_checks(t, e))
+    return not _parallel_scan(t, _syndrome(t, e))
 
 
 def decode_parallel(
@@ -121,32 +184,7 @@ def decode_parallel(
     update is deterministic, a revisit proves a loop. ``max_iters`` defaults
     to the code length.
     """
-    _check_pattern(t, e)
-    if max_iters is None:
-        max_iters = max(t.n, 1)
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be positive, got {max_iters}")
-    if e.weight == 0:
-        return DecodeResult(DecodeStatus.CORRECTED, e, 0, ())
-    seen = {e.support}
-    flips: list[tuple[int, ...]] = []
-    current = e
-    rounds = 0
-    while True:
-        nxt, flipped = parallel_round(t, current)
-        rounds += 1
-        flips.append(flipped)
-        if not flipped:
-            # the no-flip round still ran: a fixed point costs exactly one round
-            return DecodeResult(DecodeStatus.FIXED_POINT, current, rounds, tuple(flips))
-        current = nxt
-        if current.weight == 0:
-            return DecodeResult(DecodeStatus.CORRECTED, current, rounds, tuple(flips))
-        if current.support in seen:
-            return DecodeResult(DecodeStatus.OSCILLATION, current, rounds, tuple(flips))
-        seen.add(current.support)
-        if rounds >= max_iters:
-            return DecodeResult(DecodeStatus.MAX_ITERS, current, rounds, tuple(flips))
+    return _decode(t, e, max_iters, partial(_parallel_scan, t))
 
 
 def decode_serial(
@@ -158,51 +196,16 @@ def decode_serial(
     """Run serial bit flipping: scan variables in ``order``, updating the syndrome per flip.
 
     ``order`` defaults to ascending variable index and must be a permutation
-    of all variables. Status semantics match :func:`decode_parallel`, with a
-    round meaning one full scan.
+    of all variables, given as any iterable. Status semantics match
+    :func:`decode_parallel`, with a round meaning one full scan.
     """
-    _check_pattern(t, e)
-    if max_iters is None:
-        max_iters = max(t.n, 1)
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be positive, got {max_iters}")
     if order is None:
         order = range(t.n)
     else:
+        order = tuple(order)
         if sorted(order) != list(range(t.n)):
             raise ValueError("scan order must be a permutation of all variable indices")
-    if e.weight == 0:
-        return DecodeResult(DecodeStatus.CORRECTED, e, 0, ())
-    bits = bytearray(t.n)
-    for v in e.support:
-        bits[v] = 1
-    syndrome = bytearray(t.m)
-    for c in unsatisfied_checks(t, e):
-        syndrome[c] = 1
-    seen = {e.support}
-    flips: list[tuple[int, ...]] = []
-    rounds = 0
-    while True:
-        flipped = []
-        for v in order:
-            unsat = sum(syndrome[c] for c in t.var_adj[v])
-            if 2 * unsat > t.var_degree(v):
-                bits[v] ^= 1
-                for c in t.var_adj[v]:
-                    syndrome[c] ^= 1
-                flipped.append(v)
-        current = ErrorPattern.from_bits(bits)
-        rounds += 1
-        flips.append(tuple(flipped))
-        if not flipped:
-            return DecodeResult(DecodeStatus.FIXED_POINT, current, rounds, tuple(flips))
-        if current.weight == 0:
-            return DecodeResult(DecodeStatus.CORRECTED, current, rounds, tuple(flips))
-        if current.support in seen:
-            return DecodeResult(DecodeStatus.OSCILLATION, current, rounds, tuple(flips))
-        seen.add(current.support)
-        if rounds >= max_iters:
-            return DecodeResult(DecodeStatus.MAX_ITERS, current, rounds, tuple(flips))
+    return _decode(t, e, max_iters, partial(_serial_scan, t, order))
 
 
 ALGORITHMS = {"parallel": decode_parallel, "serial": decode_serial}

@@ -78,6 +78,10 @@ class Graph:
             raise GraphError("average degree is undefined for the empty graph")
         return Fraction(2 * self.edge_count, self.n)
 
+    @cached_property
+    def _girth(self) -> Union[int, float]:
+        return _shortest_cycle(self)
+
 
 @dataclass(frozen=True)
 class TannerGraph:
@@ -121,6 +125,10 @@ class TannerGraph:
         adj = [tuple(c + self.n for c in self.var_adj[v]) for v in range(self.n)]
         adj += [self.check_adj[c] for c in range(self.m)]
         return Graph(self.n + self.m, tuple(adj))
+
+    @cached_property
+    def _girth(self) -> Union[int, float]:
+        return _shortest_cycle(self.as_graph())
 
 
 def build_tanner_graph(
@@ -172,14 +180,21 @@ def build_tanner_graph(
 def girth(g: Union[Graph, TannerGraph]) -> Union[int, float]:
     """Length of a shortest cycle, or ``math.inf`` for acyclic graphs.
 
-    Runs a breadth-first search from every node; a non-tree edge ``(u, w)``
-    seen while expanding ``u`` closes a cycle of length
+    Computed on the first call for a graph and kept on that graph object:
+    graphs are immutable, so the value cannot go stale, and it is freed with
+    the graph.
+    """
+    return g._girth
+
+
+def _shortest_cycle(g: Graph) -> Union[int, float]:
+    """Girth by a breadth-first search from every node.
+
+    A non-tree edge ``(u, w)`` seen while expanding ``u`` closes a cycle of length
     ``dist[u] + dist[w] + 1``, and the minimum of these over all roots is the
     girth. Each search stops as soon as its frontier is too deep to improve
     on the best cycle found so far.
     """
-    if isinstance(g, TannerGraph):
-        g = g.as_graph()
     best: Union[int, float] = math.inf
     dist = [0] * g.n
     parent = [0] * g.n

@@ -4,9 +4,31 @@ Generation parameters were chosen so every fixture builds in well under a
 second; seeds are fixed so all expectations stay reproducible.
 """
 
+import shutil
+import tempfile
+
 import pytest
 
 from ldpcbounds import build_tanner_graph, generate_code
+
+_HYPOTHESIS_HOME = pytest.StashKey[str]()
+
+
+def pytest_configure(config):
+    # with database=None hypothesis keeps no example database, but it still
+    # caches the constants of local modules under .hypothesis/ in the working
+    # directory; give it a temporary home for the session instead
+    try:
+        from hypothesis.configuration import set_hypothesis_home_dir
+    except ImportError:
+        return
+    config.stash[_HYPOTHESIS_HOME] = tempfile.mkdtemp(prefix="hypothesis-")
+    set_hypothesis_home_dir(config.stash[_HYPOTHESIS_HOME])
+
+
+def pytest_unconfigure(config):
+    if _HYPOTHESIS_HOME in config.stash:
+        shutil.rmtree(config.stash[_HYPOTHESIS_HOME], ignore_errors=True)
 
 
 @pytest.fixture(scope="session")

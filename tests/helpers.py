@@ -3,6 +3,12 @@
 The girth oracle here intentionally uses a different algorithm from the
 library (per-edge deletion plus shortest path, versus per-node BFS cycle
 detection), so the two can disagree only if one of them is wrong.
+
+The reference decoders are the straightforward bit-flipping loops, one per
+schedule: they recompute the parity of every check and scan every variable
+each round, and share no code with ``ldpcbounds.decoder``. Their results are
+plain tuples ``(status, final_support, rounds, flips_per_round)`` with the
+status spelled as the library's ``DecodeStatus`` values.
 """
 
 from __future__ import annotations
@@ -72,3 +78,84 @@ def graph_corpus(seed: int = 0, count: int = 30) -> list[Graph]:
         max_edges = n * (n - 1) // 2
         out.append(random_simple_graph(rng, n, rng.randint(n // 2, max_edges)))
     return out
+
+
+def _reference_parity(t: TannerGraph, support) -> list[int]:
+    parity = [0] * t.m
+    for v in support:
+        for c in t.var_adj[v]:
+            parity[c] ^= 1
+    return parity
+
+
+def reference_parallel_round(t: TannerGraph, support) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Oracle: one parallel round; returns the new support and the flipped positions."""
+    parity = _reference_parity(t, support)
+    count = [0] * t.n
+    for c in range(t.m):
+        if parity[c]:
+            for v in t.check_adj[c]:
+                count[v] += 1
+    flipped = tuple(v for v in range(t.n) if 2 * count[v] > len(t.var_adj[v]))
+    return tuple(sorted(set(support) ^ set(flipped))), flipped
+
+
+def _reference_status(flipped, current, seen, rounds, max_iters):
+    if not flipped:
+        return "fixed_point"
+    if not current:
+        return "corrected"
+    if current in seen:
+        return "oscillation"
+    seen.add(current)
+    if rounds >= max_iters:
+        return "max_iters"
+    return None
+
+
+def reference_decode_parallel(t: TannerGraph, support, max_iters=None):
+    """Oracle: parallel bit flipping, returning ``(status, final, rounds, flips)``."""
+    current = tuple(sorted(support))
+    if max_iters is None:
+        max_iters = max(t.n, 1)
+    if not current:
+        return "corrected", current, 0, ()
+    seen = {current}
+    flips = []
+    while True:
+        current, flipped = reference_parallel_round(t, current)
+        flips.append(flipped)
+        status = _reference_status(flipped, current, seen, len(flips), max_iters)
+        if status:
+            return status, current, len(flips), tuple(flips)
+
+
+def reference_decode_serial(t: TannerGraph, support, max_iters=None, order=None):
+    """Oracle: serial bit flipping in ``order`` (ascending by default), same result shape."""
+    current = tuple(sorted(support))
+    if max_iters is None:
+        max_iters = max(t.n, 1)
+    if order is None:
+        order = range(t.n)
+    if not current:
+        return "corrected", current, 0, ()
+    bits = [0] * t.n
+    for v in current:
+        bits[v] = 1
+    parity = _reference_parity(t, current)
+    seen = {current}
+    flips = []
+    while True:
+        flipped = []
+        for v in order:
+            unsat = sum(parity[c] for c in t.var_adj[v])
+            if 2 * unsat > len(t.var_adj[v]):
+                bits[v] ^= 1
+                for c in t.var_adj[v]:
+                    parity[c] ^= 1
+                flipped.append(v)
+        flips.append(tuple(flipped))
+        current = tuple(v for v in range(t.n) if bits[v])
+        status = _reference_status(flipped, current, seen, len(flips), max_iters)
+        if status:
+            return status, current, len(flips), tuple(flips)

@@ -76,6 +76,13 @@ def test_expansion_certificate_budget_truncation(code_g3_girth8_n30):
     assert cert.k_max_checked == 1
     assert cert.k_max_required == 2
     assert cert.passed  # everything visited so far expands
+    # exact-budget edges: sizes 1 and 2 hold 30 + 435 = 465 subsets
+    rows = [(0, 0, 0, False), (30, 30, 1, False), (464, 464, 1, False),
+            (465, 465, 2, True), (466, 465, 2, True)]
+    for budget, checked, k_done, complete in rows:
+        cert = verify_main_theorem(code_g3_girth8_n30, budget=budget)
+        assert (cert.subsets_checked, cert.k_max_checked, cert.complete) == (
+            checked, k_done, complete)
 
 
 def test_expansion_certificate_threshold_override(code_g3_girth6_n12):
@@ -230,6 +237,13 @@ def test_search_budget_truncation(code_g3_girth8_n30):
     assert not res.complete
     assert res.sizes_completed == 1
     assert res.subsets_visited == 100
+    # exact-budget edges: sizes 1..3 hold 30 + 435 + 4060 = 4525 subsets
+    rows = [(465, 465, 2, False), (4524, 4524, 2, False), (4525, 4525, 3, True)]
+    for budget, visited, sizes, complete in rows:
+        res = search_min_trapping_set(code_g3_girth8_n30, 3, budget=budget)
+        assert res.found is None
+        assert (res.subsets_visited, res.sizes_completed, res.complete) == (
+            visited, sizes, complete)
 
 
 def test_search_degenerate_sizes(code_g3_girth8_n30):

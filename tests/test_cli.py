@@ -1,12 +1,14 @@
 """End-to-end CLI behavior: JSON reports, summaries, exit codes."""
 
+import importlib
 import json
 import shutil
 import subprocess
+from pathlib import Path
 
 import pytest
 
-from ldpcbounds import build_tanner_graph
+from ldpcbounds import build_tanner_graph, graphs
 from ldpcbounds.alist import write_alist
 from ldpcbounds.cli import main, to_dot
 
@@ -94,6 +96,22 @@ def test_gen_girth_decode_pipeline(small_code, capsys):
     code, report, _ = run_cli(capsys, "decode", "--code", str(path), "--errors", "")
     assert code == 0
     assert report["result"]["rounds"] == 0
+
+
+def test_gen_computes_girth_once(tmp_path, capsys, monkeypatch):
+    # the generator's postcondition, the report and the stderr summary all
+    # need the girth; it is kept on the graph after the first search
+    searches = []
+    shortest_cycle = graphs._shortest_cycle
+    monkeypatch.setattr(graphs, "_shortest_cycle",
+                        lambda g: searches.append(g.n) or shortest_cycle(g))
+    code, report, err = run_cli(
+        capsys, "gen", "--n", "12", "--gamma", "3", "--rho", "4",
+        "--min-girth", "6", "--seed", "1", "--out", str(tmp_path / "code.alist"),
+    )
+    assert code == 0
+    assert f"girth={report['result']['girth']}" in err
+    assert searches == [12 + 9]
 
 
 def test_decode_fixed_point_exits_1(tmp_path, capsys):
@@ -269,3 +287,16 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["t_max"] == 1
+
+
+def test_console_entry_point_in_process(capsys):
+    # the same [project.scripts] target the installed script runs, resolved
+    # from pyproject.toml, so the test runs without an install
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["ldpcbounds"]
+    module, _, attr = target.partition(":")
+    entry = getattr(importlib.import_module(module), attr)
+    assert entry(["bounds", "--gamma", "3", "--girth", "8"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["t_max"] == 1

@@ -109,6 +109,15 @@ def test_serial_scan_order_changes_outcome(two_by_two):
         decode_serial(two_by_two, ErrorPattern(2, (0,)), order=[0])
 
 
+def test_serial_scan_order_may_be_an_iterator(code_g3_girth8_n30):
+    # the order is read once, so a generator must drive every scan
+    t = code_g3_girth8_n30
+    e = ErrorPattern(t.n, (4,))
+    r = decode_serial(t, e, order=(v for v in range(t.n)))
+    assert r == decode_serial(t, e)
+    assert r.status is DecodeStatus.CORRECTED
+
+
 def test_max_iters_cutoff(two_by_two):
     r = decode_parallel(two_by_two, ErrorPattern(2, (0,)), max_iters=1)
     assert r.status is DecodeStatus.MAX_ITERS
