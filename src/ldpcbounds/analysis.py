@@ -15,8 +15,12 @@ specialize to the usual gamma-regular form on left-regular graphs without
 requiring regularity.
 
 Trapping sets are not monotone under inclusion: a proper subset of a
-trapping set typically violates (a), so searches enumerate every size from
-scratch rather than pruning supersets.
+trapping set typically violates (a), so no search can prune the supersets
+of a subset that fails. Both exhaustive searches prune disconnected subsets
+instead. Link two variables when they share a check; the searches walk only
+the subsets that are connected under this link, which is exact for the
+expansion certificate and for the trapping-set search alike (see
+:class:`_SubsetWalk`).
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Iterator, Union
 
 from .bounds import brute_force_f, moore_bound
@@ -33,29 +36,104 @@ from .graphs import CheckPartition, TannerGraph, girth, induced_check_partition
 
 
 class _SubsetWalk:
-    """Variable subsets of sizes ``1..max_size``, sizes ascending, lexicographic within a size.
+    """Connected variable subsets of sizes ``1..max_size``, sizes ascending.
 
+    Two variables are linked when they share a check, and only subsets that
+    are connected under this link are handed out. Skipping the rest is exact
+    for both searches:
+
+    * a disconnected subset's ``|N(S)|/|S|`` is a mediant of its connected
+      parts' ratios, since the parts share no check; so the worst ratio, and
+      any subset at or below a threshold, occurs on a connected subset, and
+      the first minimiser in (size, lexicographic) order is itself connected
+      (a part with the same ratio is smaller);
+    * the connected parts share no check, so condition (a) splits across
+      them, and so does (b): a check of odd degree in a part has that
+      degree in the whole subset, and no variable of another part touches
+      it. Every part of a (potential) trapping set is one too, and every
+      smallest one is connected.
+
+    Within a size, subsets come in blocks by smallest member, ascending. A
+    block is the ESU enumeration (Wernicke, IEEE/ACM TCBB 2006) rooted at
+    that member: a subset grows only by members above the root, each drawn
+    from an extension set that hands every connected subset out exactly
+    once. So the lexicographically first subset of a size with some property
+    lies in the first block that has one; a caller that wants it calls
+    :meth:`finish_block` on its first hit, and the walk stops once that
+    block is done. Each size is walked again from its roots, so memory stays
+    at one explicit stack, which carries each subset's union of check masks.
+
+    Items are ``(size, members, checks)``: ``members`` is the subset as a
+    bitmask over variables and ``checks`` the union of their check masks.
     Stops after ``budget`` subsets. The counters stay exact when a caller
-    breaks out of the loop: ``visited`` includes the last subset handed out.
+    breaks out of the loop: ``visited`` counts the subsets handed out,
+    including the last one, and ``sizes_completed`` the sizes handed out in
+    full (not the size of a finished block).
     """
 
-    def __init__(self, n: int, max_size: int, budget: int):
-        self.n = n
+    def __init__(self, t: TannerGraph, max_size: int, budget: int):
+        self.t = t
         self.max_size = max_size
         self.budget = budget
         self.visited = 0
         self.sizes_completed = 0
         self.complete = True
+        self._last_block = False
 
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        for k in range(1, min(self.max_size, self.n) + 1):
-            for subset in combinations(range(self.n), k):
-                if self.visited >= self.budget:
-                    self.complete = False
+    def finish_block(self) -> None:
+        """Stop once the current block (size and smallest member) is handed out."""
+        self._last_block = True
+
+    def __iter__(self) -> Iterator[tuple[int, int, int]]:
+        t = self.t
+        masks = t.var_masks
+        linked = [0] * t.n
+        for adj in t.check_adj:
+            group = sum(1 << v for v in adj)
+            for v in adj:
+                linked[v] |= group
+        for k in range(1, min(self.max_size, t.n) + 1):
+            for root in range(t.n):
+                above = -1 << (root + 1)
+                # (members, extension, members and their links, checks, size),
+                # starting from the empty subset whose only extension is the root
+                stack = [(0, 1 << root, 1 << root, 0, 0)]
+                while stack:
+                    members, ext, closed, checks, size = stack.pop()
+                    if size == k - 1:
+                        while ext:
+                            low = ext & -ext
+                            ext ^= low
+                            if self.visited >= self.budget:
+                                self.complete = False
+                                return
+                            self.visited += 1
+                            yield k, members | low, checks | masks[low.bit_length() - 1]
+                        continue
+                    size += 1
+                    while ext:
+                        low = ext & -ext
+                        ext ^= low
+                        w = low.bit_length() - 1
+                        # the exclusive neighbours of w: above the root and not
+                        # yet in, or linked to, the subset
+                        grown = ext | (linked[w] & ~closed & above)
+                        if grown:
+                            stack.append((members | low, grown, closed | linked[w],
+                                          checks | masks[w], size))
+                if self._last_block:
                     return
-                self.visited += 1
-                yield subset
             self.sizes_completed = k
+
+
+def _members(mask: int) -> tuple[int, ...]:
+    """The set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def expansion(t: TannerGraph, subset: Iterable[int]) -> Fraction:
@@ -72,8 +150,9 @@ class ExpansionCertificate:
     ``k_max_required`` is the largest subset size the theorem speaks about
     (the largest integer below the Moore bound for ``(gamma/2, girth/2)``);
     ``k_max_checked`` is the largest size actually completed within budget.
-    ``passed`` covers every subset visited, including any partially
-    enumerated size.
+    ``subsets_checked`` counts the connected subsets visited, which stand for
+    all subsets (see :func:`verify_main_theorem`). ``passed`` covers every
+    subset visited, including any partially enumerated size.
     """
 
     gamma: int
@@ -95,16 +174,22 @@ def verify_main_theorem(
 ) -> ExpansionCertificate:
     """Check ``|N(S)| > (3 gamma / 4) |S|`` for every subset the theorem covers.
 
-    Enumerates all subsets of each size ``k < moore_bound(gamma/2, girth/2)``
-    in lexicographic order, sizes ascending. This inequality is a theorem
-    for left-regular simple Tanner graphs of the stated girth, so a failed
+    Walks the connected subsets of each size ``k < moore_bound(gamma/2,
+    girth/2)``, sizes ascending (see :class:`_SubsetWalk`). That is exact:
+    a disconnected subset's ratio is a mediant of its connected parts'
+    ratios, so the worst ratio and any failure occur on a connected subset,
+    and the reported worst subset is the first minimiser in (size,
+    lexicographic) order over all subsets. This inequality is a theorem for
+    left-regular simple Tanner graphs of the stated girth, so a failed
     certificate on such a graph indicates a bug or a malformed input; the
     worst subset is reported either way. ``budget`` caps the number of
-    subsets visited and yields a partial (``complete=False``) certificate
-    when exceeded.
+    connected subsets visited and yields a partial (``complete=False``)
+    certificate when exceeded; ``subsets_checked`` counts connected subsets.
     """
     if t.gamma is None:
         raise ValueError("graph is not left-regular; expansion theorem needs a single gamma")
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     g = girth(t)
     if g == math.inf or g % 2 != 0 or g < 6:
         raise ValueError(f"theorem needs a finite even Tanner girth >= 6, got {g}")
@@ -113,20 +198,22 @@ def verify_main_theorem(
     n0 = moore_bound(Fraction(t.gamma, 2), g // 2)
     # largest integer strictly below the Moore count
     k_required = math.ceil(n0) - 1
-    masks = t.var_masks
-    walk = _SubsetWalk(t.n, k_required, budget)
-    worst_subset: tuple[int, ...] = ()
-    worst: Union[Fraction, None] = None
+    walk = _SubsetWalk(t, k_required, budget)
+    # ratios compare as |N(S)| * |S'| against |N(S')| * |S|, in integers
+    bound_num, bound_den = Fraction(threshold).as_integer_ratio()
+    worst_members = worst_count = worst_size = 0
     passed = True
-    for subset in walk:
-        union = 0
-        for v in subset:
-            union |= masks[v]
-        ratio = Fraction(union.bit_count(), len(subset))
-        if worst is None or ratio < worst:
-            worst = ratio
-            worst_subset = subset
-        if ratio <= threshold:
+    for size, members, checks in walk:
+        count = checks.bit_count()
+        lhs = count * worst_size
+        rhs = worst_count * size
+        if not worst_size or lhs < rhs or (
+            lhs == rhs and size == worst_size
+            # lexicographically first: the lowest member where they differ is ours
+            and (members ^ worst_members) & -(members ^ worst_members) & members
+        ):
+            worst_members, worst_count, worst_size = members, count, size
+        if count * bound_den <= bound_num * size:
             passed = False
     return ExpansionCertificate(
         gamma=t.gamma,
@@ -135,8 +222,8 @@ def verify_main_theorem(
         k_max_required=k_required,
         k_max_checked=walk.sizes_completed,
         subsets_checked=walk.visited,
-        worst_subset=worst_subset,
-        worst_expansion=worst,
+        worst_subset=_members(worst_members),
+        worst_expansion=Fraction(worst_count, worst_size) if worst_size else None,
         passed=passed,
         complete=walk.complete,
     )
@@ -288,7 +375,8 @@ class TrappingSearchResult:
 
     ``found`` is the report of the first hit in (size, lexicographic) order,
     or ``None``. ``sizes_completed`` tells how far the exhaustive guarantee
-    extends when the budget truncated the search.
+    extends when the budget truncated the search. ``subsets_visited`` counts
+    the connected subsets visited (see :func:`search_min_trapping_set`).
     """
 
     found: Union[SubsetReport, None]
@@ -307,34 +395,34 @@ def search_min_trapping_set(
 ) -> TrappingSearchResult:
     """Find a smallest (potential) trapping set of size at most ``max_size``.
 
-    Sizes ascend and subsets run lexicographically within a size, so the
-    result is deterministic. With ``potential_only`` the odd-check outside
+    Walks the connected subsets, sizes ascending (see :class:`_SubsetWalk`).
+    That is exact: conditions (a) and (b) split across the connected parts
+    of a subset, so every part of a (potential) trapping set is one too, and
+    the smallest ones are connected. The result is the first hit in (size,
+    lexicographic) order over all subsets, so it is deterministic: the
+    search finishes the block of the first hit, the subsets of that size
+    with the same smallest member, and reports the hit that comes first
+    lexicographically. With ``potential_only`` the odd-check outside
     condition is skipped, matching the weaker notion condition (a) defines
-    on its own. Supersets of failed subsets are still enumerated; trapping
-    sets are not monotone.
+    on its own. Supersets of failed subsets are still walked; trapping sets
+    are not monotone. ``budget`` caps the number of connected subsets
+    visited, and ``subsets_visited`` counts them; a budget that runs out
+    inside the block of a hit leaves a smallest hit that may not be the
+    lexicographically first, with ``complete=False``.
     """
     if max_size < 0:
         raise ValueError(f"max_size must be nonnegative, got {max_size}")
-    masks = t.var_masks
-    need = [(len(adj) + 1) // 2 for adj in t.var_adj]
-    walk = _SubsetWalk(t.n, max_size, budget)
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
+    walk = _SubsetWalk(t, max_size, budget)
     found = None
-    for subset in walk:
-        # condition (a) inline, as in _condition_a: the search's hot loop
-        parity = 0
-        present = 0
-        for v in subset:
-            parity ^= masks[v]
-            present |= masks[v]
-        even = present & ~parity
-        for v in subset:
-            if (masks[v] & even).bit_count() < need[v]:
-                break
-        else:
+    for _, members, _ in walk:
+        subset = _members(members)
+        if _condition_a(t, subset) and (found is None or subset < found.subset):
             report = classify_subset(t, subset)
             if potential_only or report.is_trapping:
                 found = report
-                break
+                walk.finish_block()
     return TrappingSearchResult(
         found=found,
         max_size=max_size,

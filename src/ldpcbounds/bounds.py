@@ -205,6 +205,11 @@ def brute_force_f(k: int, g: Union[int, float]) -> int:
     arithmetic: an edge ``(u, v)`` may be added only when the current
     distance from ``u`` to ``v`` exceeds ``g - 2``, so no cycle shorter than
     ``g`` ever appears. Limited to ``k <= BRUTE_FORCE_MAX_NODES``.
+
+    The search stops early once it reaches the vertex-deletion ceiling:
+    deleting any one vertex leaves a ``(k-1)``-node graph of girth at least
+    ``g``, so summing ``e - deg(u) <= f(k-1)`` over all ``u`` gives
+    ``(k - 2) e <= k f(k-1)``.
     """
     if k < 1:
         raise ValueError(f"node count must be positive, got {k}")
@@ -225,13 +230,14 @@ def brute_force_f(k: int, g: Union[int, float]) -> int:
     order = bipartite + rest
     total = len(order)
     best = k - 1
+    ceiling = k * brute_force_f(k - 1, g) // (k - 2)
     adj = [0] * k
 
     def extend(index: int, count: int) -> None:
         nonlocal best
         if count > best:
             best = count
-        if index == total or count + (total - index) <= best:
+        if index == total or count + (total - index) <= best or best >= ceiling:
             return
         u, v = order[index]
         if not _bfs_within(adj, u, v, g - 2):

@@ -263,7 +263,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-expansion",
                        help="exhaustive expansion certificate for all covered sizes")
     p.add_argument("--code", required=True)
-    p.add_argument("--budget", type=int, default=2_000_000)
+    p.add_argument("--budget", type=int, default=2_000_000,
+                   help="most connected subsets to check (variables linked by a "
+                   "shared check); default %(default)s")
     p.set_defaults(func=_cmd_verify_expansion)
 
     p = sub.add_parser("verify-correction",
@@ -279,7 +281,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--code", required=True)
     p.add_argument("--max-size", type=int, required=True)
     p.add_argument("--potential-only", action="store_true")
-    p.add_argument("--budget", type=int, default=5_000_000)
+    p.add_argument("--budget", type=int, default=5_000_000,
+                   help="most connected subsets to visit (variables linked by a "
+                   "shared check); default %(default)s")
     p.set_defaults(func=_cmd_find_trapping_sets)
 
     p = sub.add_parser("make-gadget", help="build the cage-based trapping gadget")

@@ -9,12 +9,23 @@ schedule: they recompute the parity of every check and scan every variable
 each round, and share no code with ``ldpcbounds.decoder``. Their results are
 plain tuples ``(status, final_support, rounds, flips_per_round)`` with the
 status spelled as the library's ``DecodeStatus`` values.
+
+The subset oracles walk ``itertools.combinations`` in (size, lexicographic)
+order, as the library did before it walked connected subsets only:
+``connected_subsets`` filters them by networkx connectivity of the
+share-a-check graph, and the reference certificate and trapping-set search
+visit every subset and test the trapping conditions from their definitions.
+None of them imports ``ldpcbounds.analysis``. ``reference_brute_force_f``
+is the extremal edge count without the vertex-deletion ceiling.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter
+from fractions import Fraction
+from itertools import combinations
 
 from ldpcbounds import Graph, TannerGraph, build_tanner_graph
 
@@ -159,3 +170,127 @@ def reference_decode_serial(t: TannerGraph, support, max_iters=None, order=None)
         status = _reference_status(flipped, current, seen, len(flips), max_iters)
         if status:
             return status, current, len(flips), tuple(flips)
+
+
+def share_a_check_graph(t: TannerGraph):
+    """networkx graph on the variables, two joined when they share a check."""
+    import networkx as nx
+
+    out = nx.Graph()
+    out.add_nodes_from(range(t.n))
+    for adj in t.check_adj:
+        out.add_edges_from(combinations(adj, 2))
+    return out
+
+
+def connected_subsets(t: TannerGraph, k: int) -> list[tuple[int, ...]]:
+    """Oracle: the k-subsets of variables, in lexicographic order, that share-a-check links connect."""
+    import networkx as nx
+
+    linked = share_a_check_graph(t)
+    return [s for s in combinations(range(t.n), k) if nx.is_connected(linked.subgraph(s))]
+
+
+def connected_counts(t: TannerGraph, max_size: int) -> list[int]:
+    """Oracle: the number of connected variable subsets of each size ``1..max_size``."""
+    return [len(connected_subsets(t, k)) for k in range(1, max_size + 1)]
+
+
+def reference_certificate(t: TannerGraph, max_size: int, threshold: Fraction):
+    """Oracle: ``(worst_subset, worst_expansion, passed)`` over every subset of size <= max_size.
+
+    The worst subset is the first minimiser of ``|N(S)|/|S|`` in (size,
+    lexicographic) order; ``passed`` says every ratio exceeds ``threshold``.
+    """
+    worst_subset, worst, passed = (), None, True
+    for k in range(1, min(max_size, t.n) + 1):
+        for s in combinations(range(t.n), k):
+            ratio = Fraction(len({c for v in s for c in t.var_adj[v]}), k)
+            if worst is None or ratio < worst:
+                worst_subset, worst = s, ratio
+            if ratio <= threshold:
+                passed = False
+    return worst_subset, worst, passed
+
+
+def _reference_traps(t: TannerGraph, s, potential_only: bool) -> bool:
+    induced = Counter(c for v in s for c in t.var_adj[v])
+    for v in s:
+        even = sum(1 for c in t.var_adj[v] if induced[c] % 2 == 0)
+        if 2 * even < len(t.var_adj[v]):
+            return False
+    if potential_only:
+        return True
+    inside = set(s)
+    for u in range(t.n):
+        odd = sum(1 for c in t.var_adj[u] if induced[c] % 2 == 1)
+        if u not in inside and 2 * odd > len(t.var_adj[u]):
+            return False
+    return True
+
+
+def reference_trapping_search(t: TannerGraph, max_size: int, potential_only: bool = False):
+    """Oracle: ``(subset, signature, sizes_completed)`` of the first hit in (size, lex) order.
+
+    Condition (a), at least half of each inside variable's checks have even
+    induced degree, and condition (b), at most half of each outside
+    variable's checks have odd induced degree, are tested as stated. With no
+    hit the subset and signature are ``None``.
+    """
+    top = min(max_size, t.n)
+    for k in range(1, top + 1):
+        for s in combinations(range(t.n), k):
+            if _reference_traps(t, s, potential_only):
+                induced = Counter(c for v in s for c in t.var_adj[v])
+                odd = sum(1 for d in induced.values() if d % 2 == 1)
+                return s, (k, odd), k - 1
+    return None, None, top
+
+
+def _reference_within(adj: list[int], src: int, dst: int, cap: int) -> bool:
+    """True if dst is within cap hops of src, over bitmask adjacency."""
+    frontier = seen = 1 << src
+    for _ in range(cap):
+        frontier = 0
+        for u in range(len(adj)):
+            if seen >> u & 1:
+                frontier |= adj[u]
+        frontier &= ~seen
+        if frontier >> dst & 1:
+            return True
+        if not frontier:
+            return False
+        seen |= frontier
+    return False
+
+
+def reference_brute_force_f(k: int, g: int) -> int:
+    """Oracle: most edges of a k-node graph with girth at least g, by plain branch-and-bound.
+
+    An edge is added only when its ends are more than ``g - 2`` hops apart;
+    the only pruning is the count of edges still to be tried.
+    """
+    if k < g:
+        return k - 1
+    half = k // 2
+    bipartite = [(u, v) for u in range(half) for v in range(half, k)]
+    order = bipartite + [e for e in combinations(range(k), 2) if e not in set(bipartite)]
+    best = k - 1
+    adj = [0] * k
+
+    def extend(index: int, count: int) -> None:
+        nonlocal best
+        best = max(best, count)
+        if index == len(order) or count + len(order) - index <= best:
+            return
+        u, v = order[index]
+        if not _reference_within(adj, u, v, g - 2):
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            extend(index + 1, count + 1)
+            adj[u] &= ~(1 << v)
+            adj[v] &= ~(1 << u)
+        extend(index + 1, count)
+
+    extend(0, 0)
+    return best

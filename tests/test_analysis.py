@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from helpers import connected_counts
 from ldpcbounds import (
     ErrorPattern,
     build_tanner_graph,
@@ -55,7 +56,8 @@ def test_expansion_certificate_girth6(code_g3_girth6_n12):
     # n0(3/2, 3) = 5/2, so sizes 1 and 2 are required
     assert cert.k_max_required == 2
     assert cert.k_max_checked == 2
-    assert cert.subsets_checked == 12 + 66
+    # connected subsets only: 54 pairs share a check
+    assert cert.subsets_checked == 12 + 54
     assert cert.worst_expansion == Fraction(5, 2)
     assert cert.worst_expansion > cert.threshold
 
@@ -65,7 +67,8 @@ def test_expansion_certificate_gamma4(code_g4_girth6_n32):
     assert cert.passed and cert.complete
     assert cert.threshold == 3
     assert cert.k_max_required == 2  # n0(2, 3) = 3
-    assert cert.subsets_checked == 32 + 32 * 31 // 2
+    # 32 checks of degree 4 link 6 pairs each, and girth 6 keeps them distinct
+    assert cert.subsets_checked == 32 + 32 * 6
     assert cert.worst_expansion >= Fraction(7, 2)
 
 
@@ -76,9 +79,9 @@ def test_expansion_certificate_budget_truncation(code_g3_girth8_n30):
     assert cert.k_max_checked == 1
     assert cert.k_max_required == 2
     assert cert.passed  # everything visited so far expands
-    # exact-budget edges: sizes 1 and 2 hold 30 + 435 = 465 subsets
-    rows = [(0, 0, 0, False), (30, 30, 1, False), (464, 464, 1, False),
-            (465, 465, 2, True), (466, 465, 2, True)]
+    # exact-budget edges: sizes 1 and 2 hold 30 + 90 = 120 connected subsets
+    rows = [(0, 0, 0, False), (30, 30, 1, False), (119, 119, 1, False),
+            (120, 120, 2, True), (121, 120, 2, True)]
     for budget, checked, k_done, complete in rows:
         cert = verify_main_theorem(code_g3_girth8_n30, budget=budget)
         assert (cert.subsets_checked, cert.k_max_checked, cert.complete) == (
@@ -215,7 +218,8 @@ def test_search_finds_the_gadget_subset():
     assert res.found.signature == (4, 4)
     assert res.sizes_completed == 3
     assert res.complete
-    assert res.subsets_visited == 4 + 6 + 4 + 1
+    # the 4-cycle's connected subsets: 4 + 4 + 4 + 1
+    assert res.subsets_visited == 4 + 4 + 4 + 1
     potential = search_min_trapping_set(gadget.graph, 4, potential_only=True)
     assert potential.found is not None
     assert potential.found.subset == (0, 1, 2, 3)
@@ -228,7 +232,7 @@ def test_search_reports_absence(code_g3_girth8_n30):
     assert res.found is None
     assert res.complete
     assert res.sizes_completed == 3
-    assert res.subsets_visited == 30 + 435 + 4060
+    assert res.subsets_visited == 30 + 90 + 390
 
 
 def test_search_budget_truncation(code_g3_girth8_n30):
@@ -237,8 +241,8 @@ def test_search_budget_truncation(code_g3_girth8_n30):
     assert not res.complete
     assert res.sizes_completed == 1
     assert res.subsets_visited == 100
-    # exact-budget edges: sizes 1..3 hold 30 + 435 + 4060 = 4525 subsets
-    rows = [(465, 465, 2, False), (4524, 4524, 2, False), (4525, 4525, 3, True)]
+    # exact-budget edges: sizes 1..3 hold 30 + 90 + 390 = 510 connected subsets
+    rows = [(120, 120, 2, False), (509, 509, 2, False), (510, 510, 3, True)]
     for budget, visited, sizes, complete in rows:
         res = search_min_trapping_set(code_g3_girth8_n30, 3, budget=budget)
         assert res.found is None
@@ -246,11 +250,32 @@ def test_search_budget_truncation(code_g3_girth8_n30):
             visited, sizes, complete)
 
 
+def test_counter_pins_are_connected_counts(
+    code_g3_girth6_n12, code_g4_girth6_n32, code_g3_girth8_n30
+):
+    """The subset counts pinned above, from the networkx connectivity oracle."""
+    pytest.importorskip("networkx")
+    assert connected_counts(code_g3_girth6_n12, 2) == [12, 54]
+    assert connected_counts(code_g4_girth6_n32, 2) == [32, 192]
+    assert connected_counts(code_g3_girth8_n30, 3) == [30, 90, 390]
+    assert connected_counts(build_gadget(3, 4).graph, 4) == [4, 4, 4, 1]
+
+
 def test_search_degenerate_sizes(code_g3_girth8_n30):
     res = search_min_trapping_set(code_g3_girth8_n30, 0)
     assert res.found is None and res.complete and res.subsets_visited == 0
     with pytest.raises(ValueError, match="nonnegative"):
         search_min_trapping_set(code_g3_girth8_n30, -1)
+
+
+def test_negative_budget_is_rejected(code_g3_girth8_n30):
+    with pytest.raises(ValueError, match="budget must be nonnegative"):
+        verify_main_theorem(code_g3_girth8_n30, budget=-1)
+    with pytest.raises(ValueError, match="budget must be nonnegative"):
+        search_min_trapping_set(code_g3_girth8_n30, 3, budget=-5)
+    # a zero budget is still a valid, empty walk
+    res = search_min_trapping_set(code_g3_girth8_n30, 3, budget=0)
+    assert (res.subsets_visited, res.sizes_completed, res.complete) == (0, 0, False)
 
 
 def test_embedded_gadget_traps_in_host(code_g3_girth8_n30):

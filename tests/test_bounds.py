@@ -183,6 +183,12 @@ def test_brute_force_f_frozen_values():
     assert brute_force_f(8, 6) == 9
 
 
+def test_brute_force_f_extremal_rows():
+    # OEIS A006855 (no 3- or 4-cycles) and A006856 (girth at least 6), k = 1..8
+    assert [brute_force_f(k, 5) for k in range(1, 9)] == [0, 1, 2, 3, 5, 6, 8, 10]
+    assert [brute_force_f(k, 6) for k in range(1, 9)] == [0, 1, 2, 3, 4, 6, 7, 9]
+
+
 def test_brute_force_f_trees_and_trivial_girths():
     assert brute_force_f(1, 5) == 0
     assert brute_force_f(4, 9) == 3  # k < g forces a forest

@@ -167,7 +167,21 @@ def test_verify_expansion(small_code, capsys):
     assert result["passed"] is True and result["complete"] is True
     assert result["threshold"] == "9/4"
     assert result["worst_expansion"] == "5/2"
-    assert result["subsets_checked"] == 78
+    # connected subsets: 12 singles and the 54 pairs that share a check
+    assert result["subsets_checked"] == 66
+
+
+def test_negative_budget_exits_2(small_code, capsys):
+    path, _ = small_code
+    code, report, err = run_cli(
+        capsys, "verify-expansion", "--code", str(path), "--budget", "-1")
+    assert (code, report) == (2, None)
+    assert "budget must be nonnegative" in err
+    code, report, err = run_cli(
+        capsys, "find-trapping-sets", "--code", str(path), "--max-size", "3",
+        "--budget", "-5")
+    assert (code, report) == (2, None)
+    assert "budget must be nonnegative" in err
 
 
 def test_verify_expansion_rejects_low_girth(tmp_path, capsys):
