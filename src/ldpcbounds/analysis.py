@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, Union
 
 from .bounds import brute_force_f, moore_bound
 from .decoder import ErrorPattern, is_fixed_point
-from .graphs import CheckPartition, TannerGraph, girth, induced_check_partition
+from .graphs import CheckPartition, TannerGraph, girth, induced_check_partition, set_bits
 
 
 class _SubsetWalk:
@@ -126,16 +126,6 @@ class _SubsetWalk:
             self.sizes_completed = k
 
 
-def _members(mask: int) -> tuple[int, ...]:
-    """The set bits of ``mask``, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
-
-
 def expansion(t: TannerGraph, subset: Iterable[int]) -> Fraction:
     """Neighbourhood expansion ``|N(S)| / |S|`` of a nonempty variable subset."""
     s = set(subset)
@@ -222,7 +212,7 @@ def verify_main_theorem(
         k_max_required=k_required,
         k_max_checked=walk.sizes_completed,
         subsets_checked=walk.visited,
-        worst_subset=_members(worst_members),
+        worst_subset=set_bits(worst_members),
         worst_expansion=Fraction(worst_count, worst_size) if worst_size else None,
         passed=passed,
         complete=walk.complete,
@@ -417,7 +407,7 @@ def search_min_trapping_set(
     walk = _SubsetWalk(t, max_size, budget)
     found = None
     for _, members, _ in walk:
-        subset = _members(members)
+        subset = set_bits(members)
         if _condition_a(t, subset) and (found is None or subset < found.subset):
             report = classify_subset(t, subset)
             if potential_only or report.is_trapping:

@@ -7,22 +7,23 @@ depend only on the error. A variable flips when strictly more of its checks
 are unsatisfied than satisfied; exact ties do not flip, which matters for
 even degrees.
 
-One driver runs both decoders and decides the status after each round. The
-schedules differ only in their scan rule: the parallel scan flips all
-qualifying variables at once, the serial scan visits variables in a fixed
-order (ascending by default) and updates the syndrome after each flip, so
-one round is one full scan.
+Errors and syndromes are int bitmasks. Only variables sharing a check with
+an error can see an unsatisfied check, so a round looks only at the
+candidate mask, the OR of ``TannerGraph.var_reach`` over the error. One
+loop runs both schedules: a parallel round flips every qualifying
+candidate at once; a serial round takes the lowest candidate and, after a
+flip, adds the variable's reach above it. Other scan orders are relabelled.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
-from itertools import combinations, compress
-from typing import Callable, Iterable, Sequence, Union
+from itertools import combinations
+from typing import Iterable, Sequence, Union
 
-from .graphs import TannerGraph
+from .graphs import TannerGraph, set_bits
 
 
 class DecodeStatus(Enum):
@@ -76,93 +77,84 @@ class DecodeResult:
     flips_per_round: tuple[tuple[int, ...], ...]
 
 
-def _syndrome(t: TannerGraph, e: ErrorPattern) -> bytearray:
-    """Per-check parity of ``e`` (1 marks an unsatisfied check), after checking its length."""
+def _support(t: TannerGraph, e: ErrorPattern) -> tuple[int, ...]:
     if e.length != t.n:
         raise ValueError(f"pattern length {e.length} does not match code length {t.n}")
-    syndrome = bytearray(t.m)
-    for v in e.support:
-        for c in t.var_adj[v]:
-            syndrome[c] ^= 1
-    return syndrome
+    return e.support
 
 
-def unsatisfied_checks(t: TannerGraph, e: ErrorPattern) -> frozenset[int]:
-    """Checks whose neighbourhood holds an odd number of errors."""
-    return frozenset(compress(range(t.m), _syndrome(t, e)))
+def _state(masks: Sequence[int], support: Iterable[int]) -> tuple[int, int]:
+    """The error mask of ``support`` and its syndrome."""
+    err = syn = 0
+    for v in support:
+        err |= 1 << v
+        syn ^= masks[v]
+    return err, syn
 
 
-def _parallel_scan(t: TannerGraph, syndrome: bytearray) -> tuple[int, ...]:
-    """Flip every qualifying variable at once, updating ``syndrome``; return them ascending."""
-    var_adj = t.var_adj
-    hits = [0] * t.n
-    for vs in compress(t.check_adj, syndrome):
-        for v in vs:
-            hits[v] += 1
-    flipped = tuple(v for v, h, adj in zip(range(t.n), hits, var_adj) if 2 * h > len(adj))
-    for v in flipped:
-        for c in var_adj[v]:
-            syndrome[c] ^= 1
-    return flipped
+def _flip_round(masks, reach, err: int, syn: int, serial: bool) -> tuple[int, int]:
+    """One round over the candidates, lowest first: the flip mask and the new syndrome.
+
+    A parallel round judges every candidate on the syndrome it starts from. A
+    serial round updates the syndrome after each flip and adds the flipped
+    variable's reach above it, since those variables may qualify now.
+    """
+    cand = 0
+    for v in set_bits(err):
+        cand |= reach[v]
+    flipped = delta = 0
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        mask = masks[low.bit_length() - 1]
+        if 2 * (syn & mask).bit_count() > mask.bit_count():
+            flipped |= low
+            if serial:
+                syn ^= mask
+                cand |= reach[low.bit_length() - 1] & -(low << 1)
+            else:
+                delta ^= mask
+    return flipped, syn ^ delta
 
 
-def _serial_scan(t: TannerGraph, order: Sequence[int], syndrome: bytearray) -> tuple[int, ...]:
-    """Flip qualifying variables one by one in ``order``, updating ``syndrome`` after each."""
-    peek = syndrome.__getitem__
-    flipped = []
-    for v in order:
-        adj = t.var_adj[v]
-        if 2 * sum(map(peek, adj)) > len(adj):
-            for c in adj:
-                syndrome[c] ^= 1
-            flipped.append(v)
-    return tuple(flipped)
-
-
-def _decode(
-    t: TannerGraph,
-    e: ErrorPattern,
-    max_iters: Union[int, None],
-    scan: Callable[[bytearray], tuple[int, ...]],
-) -> DecodeResult:
-    """Run ``scan`` once per round on the syndrome of ``e`` until a status applies."""
-    syndrome = _syndrome(t, e)
-    if max_iters is None:
-        max_iters = max(t.n, 1)
+def _decode(masks, reach, support: Iterable[int], max_iters: Union[int, None], serial: bool):
+    """Run rounds until a status applies; return it, the final error and each round's flips."""
+    max_iters = max(len(masks), 1) if max_iters is None else max_iters
     if max_iters < 1:
         raise ValueError(f"max_iters must be positive, got {max_iters}")
-    if e.weight == 0:
-        return DecodeResult(DecodeStatus.CORRECTED, e, 0, ())
-    bits = bytearray(t.n)
-    for v in e.support:
-        bits[v] = 1
-    seen = {bytes(bits)}
-    flips: list[tuple[int, ...]] = []
+    err, syn = _state(masks, support)
+    flips: list[int] = []
+    if not err:
+        return DecodeStatus.CORRECTED, err, flips
+    seen = {err}
     while True:
-        flipped = scan(syndrome)
+        flipped, syn = _flip_round(masks, reach, err, syn, serial)
         flips.append(flipped)
-        for v in flipped:
-            bits[v] ^= 1
-        state = bytes(bits)
+        err ^= flipped
         if not flipped:
             # the no-flip round still ran: a fixed point costs exactly one round
             status = DecodeStatus.FIXED_POINT
-        elif 1 not in bits:
+        elif not err:
             status = DecodeStatus.CORRECTED
-        elif state in seen:
+        elif err in seen:
             status = DecodeStatus.OSCILLATION
         elif len(flips) >= max_iters:
             status = DecodeStatus.MAX_ITERS
         else:
-            seen.add(state)
+            seen.add(err)
             continue
-        final = ErrorPattern(t.n, tuple(compress(range(t.n), bits)))
-        return DecodeResult(status, final, len(flips), tuple(flips))
+        return status, err, flips
+
+
+def unsatisfied_checks(t: TannerGraph, e: ErrorPattern) -> frozenset[int]:
+    """Checks whose neighbourhood holds an odd number of errors."""
+    return frozenset(set_bits(_state(t.var_masks, _support(t, e))[1]))
 
 
 def parallel_round(t: TannerGraph, e: ErrorPattern) -> tuple[ErrorPattern, tuple[int, ...]]:
     """One parallel flip round: returns the new pattern and the flipped positions."""
-    flipped = _parallel_scan(t, _syndrome(t, e))
+    err, syn = _state(t.var_masks, _support(t, e))
+    flipped = set_bits(_flip_round(t.var_masks, t.var_reach, err, syn, False)[0])
     return e.flip(flipped), flipped
 
 
@@ -172,40 +164,46 @@ def is_fixed_point(t: TannerGraph, e: ErrorPattern) -> bool:
     The zero pattern is trivially a fixed point. Both decoders stall exactly
     on the fixed points, parallel in one round and serial in one scan.
     """
-    return not _parallel_scan(t, _syndrome(t, e))
+    err, syn = _state(t.var_masks, _support(t, e))
+    return not _flip_round(t.var_masks, t.var_reach, err, syn, False)[0]
 
 
-def decode_parallel(
-    t: TannerGraph, e: ErrorPattern, max_iters: Union[int, None] = None
-) -> DecodeResult:
+def decode_parallel(t: TannerGraph, e: ErrorPattern,
+                    max_iters: Union[int, None] = None) -> DecodeResult:
     """Run parallel bit flipping until corrected, stuck, cycling, or out of rounds.
 
     OSCILLATION is detected by revisiting any earlier pattern; since the
     update is deterministic, a revisit proves a loop. ``max_iters`` defaults
     to the code length.
     """
-    return _decode(t, e, max_iters, partial(_parallel_scan, t))
+    status, err, flips = _decode(t.var_masks, t.var_reach, _support(t, e), max_iters, False)
+    final = ErrorPattern(t.n, set_bits(err))
+    return DecodeResult(status, final, len(flips), tuple(map(set_bits, flips)))
 
 
-def decode_serial(
-    t: TannerGraph,
-    e: ErrorPattern,
-    max_iters: Union[int, None] = None,
-    order: Union[Sequence[int], None] = None,
-) -> DecodeResult:
+def decode_serial(t: TannerGraph, e: ErrorPattern, max_iters: Union[int, None] = None,
+                  order: Union[Sequence[int], None] = None) -> DecodeResult:
     """Run serial bit flipping: scan variables in ``order``, updating the syndrome per flip.
 
     ``order`` defaults to ascending variable index and must be a permutation
     of all variables, given as any iterable. Status semantics match
     :func:`decode_parallel`, with a round meaning one full scan.
     """
+    masks, reach, labels = t.var_masks, t.var_reach, range(t.n)
     if order is None:
-        order = range(t.n)
+        support = _support(t, e)
     else:
-        order = tuple(order)
-        if sorted(order) != list(range(t.n)):
+        labels = tuple(order)
+        if sorted(labels) != list(range(t.n)):
             raise ValueError("scan order must be a permutation of all variable indices")
-    return _decode(t, e, max_iters, partial(_serial_scan, t, order))
+        # label p is the p-th variable scanned, so a scan visits the labels ascending
+        pos = {v: p for p, v in enumerate(labels)}
+        support = [pos[v] for v in _support(t, e)]
+        masks = [masks[v] for v in labels]
+        reach = [sum(1 << pos[u] for u in set_bits(reach[v])) for v in labels]
+    status, err, flips = _decode(masks, reach, support, max_iters, True)
+    named = [tuple(labels[p] for p in set_bits(mask)) for mask in (err, *flips)]
+    return DecodeResult(status, ErrorPattern(t.n, named[0]), len(flips), tuple(named[1:]))
 
 
 ALGORITHMS = {"parallel": decode_parallel, "serial": decode_serial}
@@ -213,35 +211,37 @@ ALGORITHMS = {"parallel": decode_parallel, "serial": decode_serial}
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Outcome of decoding every error pattern of one weight."""
+    """Outcome of decoding every error pattern of one weight, with the patterns per
+    ``DecodeStatus`` value (all of them, in declaration order) and per round count."""
 
     weight: int
     algorithm: str
     patterns_checked: int
     failures: tuple[tuple[int, ...], ...]
+    status_counts: dict[str, int] = field(hash=False)
+    rounds_histogram: dict[int, int] = field(hash=False)
 
     @property
     def all_corrected(self) -> bool:
         return not self.failures
 
 
-def sweep_error_patterns(
-    t: TannerGraph,
-    weight: int,
-    algorithm: str = "parallel",
-    max_iters: Union[int, None] = None,
-) -> SweepResult:
+def sweep_error_patterns(t: TannerGraph, weight: int, algorithm: str = "parallel",
+                         max_iters: Union[int, None] = None) -> SweepResult:
     """Decode every weight-``weight`` pattern; failures are the uncorrected supports."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {sorted(ALGORITHMS)}")
     if not 0 <= weight <= t.n:
         raise ValueError(f"weight must be between 0 and {t.n}, got {weight}")
-    decode = ALGORITHMS[algorithm]
+    masks, reach, serial = t.var_masks, t.var_reach, algorithm == "serial"
     failures = []
-    checked = 0
+    statuses = dict.fromkeys(DecodeStatus, 0)
+    rounds: Counter = Counter()
     for support in combinations(range(t.n), weight):
-        checked += 1
-        result = decode(t, ErrorPattern(t.n, support), max_iters)
-        if result.status is not DecodeStatus.CORRECTED:
+        status, _, flips = _decode(masks, reach, support, max_iters, serial)
+        statuses[status] += 1
+        rounds[len(flips)] += 1
+        if status is not DecodeStatus.CORRECTED:
             failures.append(support)
-    return SweepResult(weight, algorithm, checked, tuple(failures))
+    return SweepResult(weight, algorithm, sum(statuses.values()), tuple(failures),
+                       {s.value: k for s, k in statuses.items()}, dict(sorted(rounds.items())))

@@ -83,6 +83,16 @@ class Graph:
         return _shortest_cycle(self)
 
 
+def set_bits(mask: int) -> tuple[int, ...]:
+    """The positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class TannerGraph:
     """Bipartite variable/check adjacency of a binary linear code.
@@ -119,6 +129,24 @@ class TannerGraph:
     def var_masks(self) -> tuple[int, ...]:
         """Per-variable check neighbourhood as a bitmask (bit ``c`` set iff edge ``(v, c)``)."""
         return tuple(sum(1 << c for c in nbrs) for nbrs in self.var_adj)
+
+    @cached_property
+    def var_reach(self) -> tuple[int, ...]:
+        """Per-variable bitmask of the variables sharing a check with it, itself included.
+
+        Bit ``u`` of ``var_reach[v]`` is set iff ``u == v`` or some check is
+        adjacent to both. A check is unsatisfied only if it holds an error, so
+        only variables within reach of an error can see an unsatisfied check;
+        the decoders look at no others.
+        """
+        check_masks = [sum(1 << v for v in vs) for vs in self.check_adj]
+        reach = []
+        for v, nbrs in enumerate(self.var_adj):
+            mask = 1 << v
+            for c in nbrs:
+                mask |= check_masks[c]
+            reach.append(mask)
+        return tuple(reach)
 
     def as_graph(self) -> Graph:
         """Flatten to a simple graph: variables are ``0..n-1``, checks are ``n..n+m-1``."""

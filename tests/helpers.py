@@ -8,7 +8,8 @@ The reference decoders are the straightforward bit-flipping loops, one per
 schedule: they recompute the parity of every check and scan every variable
 each round, and share no code with ``ldpcbounds.decoder``. Their results are
 plain tuples ``(status, final_support, rounds, flips_per_round)`` with the
-status spelled as the library's ``DecodeStatus`` values.
+status spelled as the library's ``DecodeStatus`` values; ``reference_sweep``
+runs them over every pattern of one weight.
 
 The subset oracles walk ``itertools.combinations`` in (size, lexicographic)
 order, as the library did before it walked connected subsets only:
@@ -171,6 +172,25 @@ def reference_decode_serial(t: TannerGraph, support, max_iters=None, order=None)
         if status:
             return status, current, len(flips), tuple(flips)
 
+
+def reference_sweep(t: TannerGraph, weight: int, algorithm: str, max_iters=None):
+    """Oracle: decode every weight-``weight`` support with the reference decoders.
+
+    Returns ``(patterns_checked, failures, status_counts, rounds_histogram)``:
+    the uncorrected supports in lexicographic order, the patterns per status
+    (every status, in the library's declaration order) and per round count.
+    """
+    decode = reference_decode_parallel if algorithm == "parallel" else reference_decode_serial
+    statuses = dict.fromkeys(("corrected", "fixed_point", "oscillation", "max_iters"), 0)
+    rounds = Counter()
+    failures = []
+    for support in combinations(range(t.n), weight):
+        status, _, taken, _ = decode(t, support, max_iters)
+        statuses[status] += 1
+        rounds[taken] += 1
+        if status != "corrected":
+            failures.append(support)
+    return sum(statuses.values()), tuple(failures), statuses, dict(sorted(rounds.items()))
 
 def share_a_check_graph(t: TannerGraph):
     """networkx graph on the variables, two joined when they share a check."""

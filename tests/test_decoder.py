@@ -1,21 +1,29 @@
 """Parallel and serial bit flipping: statuses, round counts, flip traces."""
 
+import random
+from collections import Counter
+from functools import cached_property
 from itertools import combinations
 
 import pytest
 
+from helpers import reference_sweep
 from ldpcbounds import (
     DecodeStatus,
     ErrorPattern,
+    TannerGraph,
     build_tanner_graph,
     decode_parallel,
     decode_serial,
+    edge_vertex_incidence,
+    girth,
+    guaranteed_correction_count,
     is_fixed_point,
     parallel_round,
     sweep_error_patterns,
     unsatisfied_checks,
 )
-from ldpcbounds.cages import build_gadget
+from ldpcbounds.cages import build_gadget, cage
 
 
 @pytest.fixture()
@@ -118,6 +126,20 @@ def test_serial_scan_order_may_be_an_iterator(code_g3_girth8_n30):
     assert r.status is DecodeStatus.CORRECTED
 
 
+def test_serial_flip_makes_a_later_variable_qualify_in_the_same_scan():
+    # variable 0 is not in error but sees errors 1 and 2 through checks 0 and 1;
+    # its flip leaves check 2 unsatisfied, so variable 3, which shares no check
+    # with an error, flips later in the same scan
+    t = build_tanner_graph([(0, 0), (1, 0), (0, 1), (2, 1), (0, 2), (3, 2)])
+    r = decode_serial(t, ErrorPattern(4, (1, 2)))
+    assert r.flips_per_round == ((0, 3), ())
+    assert r.status is DecodeStatus.FIXED_POINT
+    assert r.final.support == (0, 1, 2, 3)
+    # scanned before variable 0, variable 3 waits for the next scan
+    r = decode_serial(t, ErrorPattern(4, (1, 2)), order=[3, 0, 1, 2])
+    assert r.flips_per_round == ((0,), (3,), ())
+
+
 def test_max_iters_cutoff(two_by_two):
     r = decode_parallel(two_by_two, ErrorPattern(2, (0,)), max_iters=1)
     assert r.status is DecodeStatus.MAX_ITERS
@@ -200,9 +222,84 @@ def test_sweep_validation(code_g3_girth6_n12):
         sweep_error_patterns(code_g3_girth6_n12, 1, "majority")
     with pytest.raises(ValueError, match="between 0 and 12"):
         sweep_error_patterns(code_g3_girth6_n12, 13)
+    for weight in (0, 1):
+        with pytest.raises(ValueError, match="positive"):
+            sweep_error_patterns(code_g3_girth6_n12, weight, "serial", max_iters=0)
 
 
 def test_sweep_weight_zero(code_g3_girth6_n12):
     s = sweep_error_patterns(code_g3_girth6_n12, 0)
     assert s.patterns_checked == 1
     assert s.all_corrected
+
+
+def test_sweep_counters_on_two_by_two(two_by_two):
+    def counts(corrected=0, fixed_point=0, oscillation=0, max_iters=0):
+        return {"corrected": corrected, "fixed_point": fixed_point,
+                "oscillation": oscillation, "max_iters": max_iters}
+
+    rows = [
+        ("parallel", 0, None, counts(corrected=1), {0: 1}),
+        ("parallel", 1, None, counts(oscillation=2), {2: 2}),
+        ("parallel", 1, 1, counts(max_iters=2), {1: 2}),
+        ("parallel", 2, None, counts(fixed_point=1), {1: 1}),
+        ("serial", 1, None, counts(corrected=1, fixed_point=1), {1: 1, 2: 1}),
+        ("serial", 2, None, counts(fixed_point=1), {1: 1}),
+    ]
+    for algo, weight, max_iters, statuses, rounds in rows:
+        s = sweep_error_patterns(two_by_two, weight, algo, max_iters)
+        assert list(s.status_counts.items()) == list(statuses.items())
+        assert s.rounds_histogram == rounds
+        assert s in {s}  # the counters leave the result hashable
+
+
+def test_sweep_counters_add_up(code_g4_girth6_n32, code_g3_girth8_n30):
+    for t in (code_g4_girth6_n32, code_g3_girth8_n30):
+        for algo in ("parallel", "serial"):
+            for max_iters in (None, 1):
+                s = sweep_error_patterns(t, 2, algo, max_iters)
+                assert list(s.status_counts) == [status.value for status in DecodeStatus]
+                assert sum(s.status_counts.values()) == s.patterns_checked
+                assert sum(s.rounds_histogram.values()) == s.patterns_checked
+                assert s.status_counts["corrected"] == s.patterns_checked - len(s.failures)
+                assert list(s.rounds_histogram) == sorted(s.rounds_histogram)
+                assert reference_sweep(t, 2, algo, max_iters) == (
+                    s.patterns_checked, s.failures, s.status_counts, s.rounds_histogram)
+
+
+def test_theorem_holds_where_t_max_is_2():
+    # the (4,5) cage's edge-vertex incidence: gamma 4, Tanner girth 10
+    t = edge_vertex_incidence(cage(4, 5).graph)
+    assert (t.n, t.gamma, girth(t)) == (19, 4, 10)
+    assert guaranteed_correction_count(t.gamma, girth(t)) == 2
+    for algo in ("parallel", "serial"):
+        for weight in (1, 2):
+            s = sweep_error_patterns(t, weight, algo)
+            assert s.all_corrected
+            assert s.status_counts["corrected"] == s.patterns_checked
+        # one past the guarantee, the sweep must still agree with the reference decoders
+        s = sweep_error_patterns(t, 3, algo)
+        checked, failures, _, _ = reference_sweep(t, 3, algo)
+        assert (s.patterns_checked, s.failures) == (checked, failures)
+        assert s.patterns_checked == 969
+
+
+def test_single_decodes_build_the_graph_tables_once(monkeypatch):
+    # the per-graph bitmask tables are cached on the graph, so a run of
+    # single-pattern decodes builds them once
+    builds = Counter()
+    for name in ("var_masks", "var_reach"):
+        build = TannerGraph.__dict__[name].func
+
+        def counted(t, build=build, name=name):
+            builds[name] += 1
+            return build(t)
+
+        prop = cached_property(counted)
+        prop.__set_name__(TannerGraph, name)
+        monkeypatch.setattr(TannerGraph, name, prop)
+    t = build_tanner_graph([(v, c) for v in range(24) for c in (v % 8, 8 + v % 6, 14 + v % 5)])
+    rng = random.Random(3)
+    for _ in range(1000):
+        decode_parallel(t, ErrorPattern(t.n, rng.sample(range(t.n), 2)))
+    assert builds == {"var_masks": 1, "var_reach": 1}

@@ -1,8 +1,11 @@
 """Differential test: the library decoders against the reference loops in helpers.
 
 Random Tanner graphs with up to 12 variables (isolated variables and checks
-allowed), random error patterns, random serial scan orders and small
-``max_iters`` values; every field of the result must agree.
+allowed), and sparse ones of variable degree at most 4 with up to 80
+variables and checks, so that error, reach and check masks are wider than 64
+bits; random error patterns, random serial scan orders and small
+``max_iters`` values. Every field of the result must agree, and so must
+every sweep of weight at most 3, counters included.
 """
 
 import pytest
@@ -11,9 +14,11 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from helpers import (  # noqa: E402
+    _reference_parity,
     reference_decode_parallel,
     reference_decode_serial,
     reference_parallel_round,
+    reference_sweep,
 )
 from ldpcbounds import (  # noqa: E402
     ErrorPattern,
@@ -22,6 +27,8 @@ from ldpcbounds import (  # noqa: E402
     decode_serial,
     is_fixed_point,
     parallel_round,
+    sweep_error_patterns,
+    unsatisfied_checks,
 )
 
 
@@ -58,3 +65,60 @@ def test_decoders_match_reference(case):
     nxt, flipped = parallel_round(t, e)
     assert (nxt.support, flipped) == reference_parallel_round(t, support)
     assert is_fixed_point(t, e) == (not flipped)
+
+
+def _sparse_graph(draw, n, m):
+    var_adj = draw(st.lists(st.sets(st.integers(0, m - 1), max_size=4), min_size=n, max_size=n))
+    return build_tanner_graph([(v, c) for v, cs in enumerate(var_adj) for c in cs], n=n, m=m)
+
+
+@st.composite
+def sparse_decode_cases(draw):
+    n = draw(st.one_of(st.integers(1, 16), st.integers(65, 80)))
+    t = _sparse_graph(draw, n, draw(st.integers(1, 80)))
+    support = tuple(sorted(draw(st.sets(st.integers(0, n - 1)))))
+    order = draw(st.permutations(range(n)))
+    max_iters = draw(st.sampled_from([None, 1, 2]))
+    return t, support, order, max_iters
+
+
+@hypothesis.settings(max_examples=150, database=None, deadline=None)
+@hypothesis.given(sparse_decode_cases())
+def test_wide_sparse_decoders_match_reference(case):
+    t, support, order, max_iters = case
+    e = ErrorPattern(t.n, support)
+    assert _fields(decode_parallel(t, e, max_iters)) == reference_decode_parallel(
+        t, support, max_iters
+    )
+    assert _fields(decode_serial(t, e, max_iters)) == reference_decode_serial(
+        t, support, max_iters
+    )
+    assert _fields(decode_serial(t, e, max_iters, order=order)) == reference_decode_serial(
+        t, support, max_iters, order
+    )
+    parity = _reference_parity(t, support)
+    assert unsatisfied_checks(t, e) == {c for c in range(t.m) if parity[c]}
+    nxt, flipped = parallel_round(t, e)
+    assert (nxt.support, flipped) == reference_parallel_round(t, support)
+    assert is_fixed_point(t, e) == (not flipped)
+
+
+@st.composite
+def sweep_cases(draw):
+    n = draw(st.integers(1, 14))
+    t = _sparse_graph(draw, n, draw(st.integers(1, 12)))
+    weight = draw(st.integers(0, min(n, 3)))
+    algorithm = draw(st.sampled_from(["parallel", "serial"]))
+    max_iters = draw(st.sampled_from([None, 1, 2]))
+    return t, weight, algorithm, max_iters
+
+
+@hypothesis.settings(max_examples=150, database=None, deadline=None)
+@hypothesis.given(sweep_cases())
+def test_sweeps_match_reference(case):
+    t, weight, algorithm, max_iters = case
+    s = sweep_error_patterns(t, weight, algorithm, max_iters)
+    checked, failures, statuses, rounds = reference_sweep(t, weight, algorithm, max_iters)
+    assert (s.patterns_checked, s.failures) == (checked, failures)
+    assert list(s.status_counts.items()) == list(statuses.items())
+    assert list(s.rounds_histogram.items()) == list(rounds.items())

@@ -109,6 +109,18 @@ def test_var_masks(eight_cycle_code):
     assert all(m.bit_count() == 2 for m in masks)
 
 
+def test_var_reach_matches_definition(eight_cycle_code):
+    # variable 0 shares check 0 with 1 and check 3 with 3, but no check with 2
+    assert eight_cycle_code.var_reach[0] == 0b1011
+    rng = random.Random(21)
+    for t in [eight_cycle_code] + [random_tanner(rng, rng.randint(1, 80), rng.randint(1, 70),
+                                                 rng.randint(0, 200)) for _ in range(30)]:
+        for v, reach in enumerate(t.var_reach):
+            near = {u for u in range(t.n) if u == v or set(t.var_adj[u]) & set(t.var_adj[v])}
+            assert reach >> t.n == 0
+            assert {u for u in range(t.n) if reach >> u & 1} == near
+
+
 def test_average_degree():
     from fractions import Fraction
 
