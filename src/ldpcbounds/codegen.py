@@ -4,13 +4,15 @@ Construction is socket matching: gamma stubs per variable, rho per check,
 shuffled and paired. Parallel edges are repaired by swapping stubs; short
 cycles are repaired by 2-opt edge swaps. A swap is accepted only when both
 replacement edges close no cycle below the target girth, so the number of
-offending cycles never increases and the repair loop cannot regress.
+offending cycles never increases and the repair loop cannot regress. That
+check meets in the middle: two breadth-first balls of half the radius, one
+around each end of the edge.
 Everything is driven by one seeded generator, so output is a deterministic
 function of the arguments.
 
 Girth targets near the Moore limit for the chosen size are infeasible; the
-generator gives up after a swap budget across a few restarts and suggests a
-larger n rather than spinning forever.
+generator gives up after a swap budget across a few restarts and, naming the
+best girth it reached, suggests a larger n rather than spinning forever.
 """
 
 from __future__ import annotations
@@ -76,36 +78,49 @@ def _find_short_cycle(var_adj, check_adj, n, target, start=0):
     return None
 
 
-def _edge_cycle_ok(var_adj, check_adj, n, v, c, target):
+def _layers(adj, src, side, avoid, radius):
+    """Breadth-first layers around ``src`` out to ``radius``, without the edge to ``avoid``.
+
+    ``adj`` is ``(var_adj, check_adj)`` and ``side`` is 0 when ``src`` is a
+    variable, 1 when it is a check. Yields ``(side, layer)`` pairs; the graph
+    is bipartite, so the layers alternate sides.
+    """
+    seen = (set(), set())
+    seen[side].add(src)
+    layer = [src]
+    yield side, layer
+    for depth in range(radius):
+        nbrs = adj[side]
+        side ^= 1
+        mark = seen[side]
+        nxt = []
+        for u in layer:
+            for w in nbrs[u]:
+                if w not in mark and (depth or w != avoid):
+                    mark.add(w)
+                    nxt.append(w)
+        layer = nxt
+        yield side, layer
+
+
+def _edge_cycle_ok(var_adj, check_adj, v, c, target):
     """True when edge (v, c) lies on no cycle shorter than target.
 
     Equivalent to: the distance from v to c avoiding the edge itself is at
-    least target - 1.
+    least target - 1. Decided by meeting in the middle: that distance is at
+    most target - 2 iff some node lies within ``(target - 2) // 2`` of v and
+    within the rest of ``target - 2`` of c (both without the edge), so the
+    ball around v is built first and the ball around c grows until a layer
+    meets it. Two half-radius balls cost far less than one of radius target - 2.
     """
-    limit = target - 2
-    dist = {v: 0}
-    frontier = [v]
-    depth = 0
-    while frontier and depth <= limit:
-        depth += 1
-        nxt = []
-        for u in frontier:
-            if u < n:
-                for j in var_adj[u]:
-                    if u == v and j == c:
-                        continue
-                    w = n + j
-                    if w not in dist:
-                        if j == c:
-                            return depth >= target - 1
-                        dist[w] = depth
-                        nxt.append(w)
-            else:
-                for i in check_adj[u - n]:
-                    if i not in dist:
-                        dist[i] = depth
-                        nxt.append(i)
-        frontier = nxt
+    adj = (var_adj, check_adj)
+    near_v = (target - 2) // 2
+    ball = (set(), set())
+    for side, layer in _layers(adj, v, 0, c, near_v):
+        ball[side].update(layer)
+    for side, layer in _layers(adj, c, 1, v, target - 2 - near_v):
+        if not ball[side].isdisjoint(layer):
+            return False
     return True
 
 
@@ -137,8 +152,8 @@ def _try_repair(var_adj, check_adj, edge_list, n, target, rng, budget):
                 check_adj[c2].add(v)
                 var_adj[v2].add(c)
                 check_adj[c].add(v2)
-                if _edge_cycle_ok(var_adj, check_adj, n, v, c2, target) and _edge_cycle_ok(
-                    var_adj, check_adj, n, v2, c, target
+                if _edge_cycle_ok(var_adj, check_adj, v, c2, target) and _edge_cycle_ok(
+                    var_adj, check_adj, v2, c, target
                 ):
                     edge_list.remove((v, c))
                     edge_list.remove((v2, c2))
@@ -173,7 +188,8 @@ def generate_code(
 
     ``n * gamma`` must be divisible by rho (the check count is
     ``n * gamma / rho``). Raises :class:`GenerationError` when the budget
-    runs out, which at small n usually means the girth target is infeasible.
+    runs out, which at small n usually means the girth target is infeasible;
+    its message names the swap attempts spent and the best girth reached.
     """
     if n < 1 or gamma < 1 or rho < 1:
         raise ValueError(f"n, gamma, rho must be positive, got {n}, {gamma}, {rho}")
@@ -192,6 +208,9 @@ def generate_code(
         )
     rng = random.Random(seed)
     spent = 0
+    # each failed repair's graph as the flat run of its variables' checks,
+    # gamma per variable; their girths are needed only if every restart fails
+    failed = []
     for _ in range(restarts):
         var_sockets = [v for v in range(n) for _ in range(gamma)]
         check_sockets = [c for c in range(m) for _ in range(rho)]
@@ -231,9 +250,18 @@ def generate_code(
             if t.gamma != gamma or t.rho != rho or girth(t) < min_girth:
                 raise AssertionError("generator postcondition violated; repair logic bug")
             return t
+        failed.append(tuple(c for checks in var_adj for c in checks))
         if spent >= swap_budget:
             break
+    if failed:
+        best = max(
+            girth(build_tanner_graph([(i // gamma, c) for i, c in enumerate(checks)], n=n, m=m))
+            for checks in failed
+        )
+        reached = f"best girth reached {best}"
+    else:
+        reached = "no simple socket matching found"
     raise GenerationError(
         f"girth {min_girth} not reached for n={n}, gamma={gamma}, rho={rho} "
-        f"after {spent} swap attempts; try a larger n"
+        f"after {spent} swap attempts ({reached}); try a larger n"
     )

@@ -12,7 +12,6 @@ comparisons like ``girth(g) >= 8`` stay meaningful without a sentinel.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -80,7 +79,7 @@ class Graph:
 
     @cached_property
     def _girth(self) -> Union[int, float]:
-        return _shortest_cycle(self)
+        return _shortest_cycle(self, range(self.n))
 
 
 def set_bits(mask: int) -> tuple[int, ...]:
@@ -156,7 +155,9 @@ class TannerGraph:
 
     @cached_property
     def _girth(self) -> Union[int, float]:
-        return _shortest_cycle(self.as_graph())
+        # every cycle alternates sides, so roots on the smaller side suffice
+        smaller = range(self.n, self.n + self.m) if self.m < self.n else range(self.n)
+        return _shortest_cycle(self.as_graph(), smaller)
 
 
 def build_tanner_graph(
@@ -215,37 +216,45 @@ def girth(g: Union[Graph, TannerGraph]) -> Union[int, float]:
     return g._girth
 
 
-def _shortest_cycle(g: Graph) -> Union[int, float]:
-    """Girth by a breadth-first search from every node.
+def _shortest_cycle(g: Graph, roots: Iterable[int]) -> Union[int, float]:
+    """Girth by a breadth-first search from each of ``roots``.
 
-    A non-tree edge ``(u, w)`` seen while expanding ``u`` closes a cycle of length
-    ``dist[u] + dist[w] + 1``, and the minimum of these over all roots is the
-    girth. Each search stops as soon as its frontier is too deep to improve
-    on the best cycle found so far.
+    A non-tree edge ``(u, w)`` seen while expanding ``u`` closes a walk
+    through the root that holds a cycle of length at most
+    ``dist[u] + dist[w] + 1``, and a search from a node on a shortest cycle
+    finds exactly its length. So the minimum over the roots is the girth
+    whenever every cycle passes through a root: all nodes always qualify,
+    and in a bipartite graph so does either side, since every cycle
+    alternates sides. Each search stops as soon as its frontier is too deep
+    to improve on the best cycle found so far, and resets only the nodes it
+    reached.
     """
     best: Union[int, float] = math.inf
-    dist = [0] * g.n
-    parent = [0] * g.n
-    for root in range(g.n):
-        for i in range(g.n):
-            dist[i] = -1
+    adj = g.adj
+    dist = [-1] * g.n
+    parent = [-1] * g.n
+    for root in roots:
         dist[root] = 0
         parent[root] = -1
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
+        queue = [root]
+        # iterating a list while appending to it visits the appended items: a FIFO
+        for u in queue:
             du = dist[u]
             if 2 * du >= best:
                 break
-            for w in g.adj[u]:
-                if dist[w] < 0:
+            pu = parent[u]
+            for w in adj[u]:
+                dw = dist[w]
+                if dw < 0:
                     dist[w] = du + 1
                     parent[w] = u
                     queue.append(w)
-                elif w != parent[u]:
-                    cycle = du + dist[w] + 1
+                elif w != pu:
+                    cycle = du + dw + 1
                     if cycle < best:
                         best = cycle
+        for u in queue:
+            dist[u] = -1
     return best
 
 

@@ -3,6 +3,9 @@
 The girth oracle here intentionally uses a different algorithm from the
 library (per-edge deletion plus shortest path, versus per-node BFS cycle
 detection), so the two can disagree only if one of them is wrong.
+``reference_edge_cycle_ok`` is the generator's edge predicate as one
+breadth-first search of full radius ``target - 2`` from the variable end;
+it does not import ``ldpcbounds.codegen``.
 
 The reference decoders are the straightforward bit-flipping loops, one per
 schedule: they recompute the parity of every check and scan every variable
@@ -60,6 +63,39 @@ def girth_by_edge_deletion(g: Graph):
         if around is not None and around + 1 < best:
             best = around + 1
     return best
+
+
+def reference_edge_cycle_ok(var_adj, check_adj, n, v, c, target):
+    """Oracle: True when edge (v, c) lies on no cycle shorter than target.
+
+    One search from v out to depth target - 1 that never uses the edge
+    itself; variables are ``0..n-1`` and check ``j`` is node ``n + j``.
+    """
+    limit = target - 2
+    dist = {v: 0}
+    frontier = [v]
+    depth = 0
+    while frontier and depth <= limit:
+        depth += 1
+        nxt = []
+        for u in frontier:
+            if u < n:
+                for j in var_adj[u]:
+                    if u == v and j == c:
+                        continue
+                    w = n + j
+                    if w not in dist:
+                        if j == c:
+                            return depth >= target - 1
+                        dist[w] = depth
+                        nxt.append(w)
+            else:
+                for i in check_adj[u - n]:
+                    if i not in dist:
+                        dist[i] = depth
+                        nxt.append(i)
+        frontier = nxt
+    return True
 
 
 def to_networkx(g: Graph):

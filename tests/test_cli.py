@@ -104,7 +104,7 @@ def test_gen_computes_girth_once(tmp_path, capsys, monkeypatch):
     searches = []
     shortest_cycle = graphs._shortest_cycle
     monkeypatch.setattr(graphs, "_shortest_cycle",
-                        lambda g: searches.append(g.n) or shortest_cycle(g))
+                        lambda g, *rest: searches.append(g.n) or shortest_cycle(g, *rest))
     code, report, err = run_cli(
         capsys, "gen", "--n", "12", "--gamma", "3", "--rho", "4",
         "--min-girth", "6", "--seed", "1", "--out", str(tmp_path / "code.alist"),

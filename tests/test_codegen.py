@@ -1,9 +1,11 @@
 """Random regular code generation: regularity, girth targets, determinism."""
 
+import hashlib
+
 import pytest
 
 from helpers import girth_by_edge_deletion
-from ldpcbounds import GenerationError, generate_code, girth
+from ldpcbounds import GenerationError, generate_code, girth, to_alist_string
 
 
 def test_generated_codes_meet_their_contracts():
@@ -50,10 +52,36 @@ def test_generation_validation():
         generate_code(4, 3, 12, 4, seed=1)
 
 
+def test_generator_output_is_pinned():
+    # sha256 of the alist bytes, taken before the girth repair's edge check
+    # met in the middle: the repair must draw from the generator exactly as
+    # it did then
+    pins = {
+        (120, 3, 4, 8): "cfba02fa40ae8e249bcb6c85b360b2bbc49208f1e9735c82682a345586d19dac",
+        (240, 3, 4, 8): "0168e2b0d291b934df2b1e9b6e9c3e17f5dd7accf1ab1d28e9f7e721f405bf91",
+        (128, 4, 4, 8): "2adbdfcd5f34dc54183e9c49cffd301f37b36db588c726a4e5379aabdf20cfea",
+        (600, 3, 6, 8): "98127211ded67346d5b4fa8939ed67825e38298e0f83b02ae9bab1a1edbbbc23",
+        (400, 3, 4, 10): "25e8393d7cb799ccacd3f4cb949b1cc8286e75d84164f9971ac6e2188277fdf7",
+        (600, 3, 4, 10): "e803fc231d54714b107b13f190cb3741e6ad03de624bb2269f5eb2962addee50",
+    }
+    for args, digest in pins.items():
+        text = to_alist_string(generate_code(*args, seed=1))
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest, args
+
+
 def test_infeasible_girth_raises_generation_error():
     # 12 variables cannot carry a girth-20 (3,4)-regular graph
-    with pytest.raises(GenerationError, match="try a larger n"):
+    with pytest.raises(GenerationError,
+                       match=r"after 1920 swap attempts \(best girth reached 4\); try a larger n"):
         generate_code(12, 3, 4, 20, seed=1, swap_budget=2_000, restarts=4)
+    # a (2,3)-regular Tanner graph is the edge-vertex incidence of a cubic
+    # graph, with twice its girth; on 8 vertices a cubic graph has girth at
+    # most 4 (girth 6 needs the 14 of the Heawood graph), so 8 is the best
+    # there is, and the repair reaches it
+    with pytest.raises(GenerationError, match=r"\(best girth reached 8\); try a larger n"):
+        generate_code(12, 2, 3, 12, seed=2, swap_budget=3_000, restarts=8)
+    with pytest.raises(GenerationError, match=r"\(no simple socket matching found\)"):
+        generate_code(12, 3, 4, 8, seed=1, restarts=0)
 
 
 def test_generation_error_is_a_runtime_error():
