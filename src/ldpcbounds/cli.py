@@ -157,9 +157,15 @@ def _cmd_verify_correction(args, argv) -> int:
         },
     }
     ok = all(s.all_corrected for s in sweeps)
+    counters = "".join(
+        f"\n{s.algorithm}: "
+        + " ".join(f"{status}={k}" for status, k in s.status_counts.items())
+        + " rounds " + " ".join(f"{r}:{k}" for r, k in s.rounds_histogram.items())
+        for s in sweeps
+    )
     _emit("verify-correction", argv, result, inputs=inputs,
           summary=f"weight={args.weight} all_corrected={ok} "
-          f"patterns={sweeps[0].patterns_checked} per algorithm")
+          f"patterns={sweeps[0].patterns_checked} per algorithm{counters}")
     return 0 if ok else 1
 
 

@@ -138,9 +138,9 @@ def _try_repair(var_adj, check_adj, edge_list, n, target, rng, budget):
         fixed = False
         for v, c in cycle:
             for _ in range(120):
-                attempts += 1
-                if attempts > budget:
+                if attempts >= budget:
                     return False, attempts
+                attempts += 1
                 v2, c2 = edge_list[rng.randrange(len(edge_list))]
                 if v2 == v or c2 == c or c2 in var_adj[v] or c in var_adj[v2]:
                     continue

@@ -145,18 +145,24 @@ def test_verify_correction_passes(small_code, capsys):
         assert sweep["all_corrected"] is True
         assert sweep["failures"] == []
     assert "all_corrected=True" in err
+    for algo in ("parallel", "serial"):
+        assert f"\n{algo}: corrected=12 fixed_point=0 oscillation=0 max_iters=0 rounds 1:12" in err
 
 
 def test_verify_correction_failure_exits_1(tmp_path, capsys):
     bad = build_tanner_graph([(0, 0), (0, 1), (1, 0), (1, 1)])
     path = tmp_path / "bad.alist"
     write_alist(bad, path)
-    code, report, _ = run_cli(
+    code, report, err = run_cli(
         capsys, "verify-correction", "--code", str(path), "--weight", "1",
         "--algo", "parallel",
     )
     assert code == 1
     assert report["result"]["sweeps"]["parallel"]["failures"] == [[0], [1]]
+    # the per-status and per-round counters go to stderr only
+    assert err.splitlines()[1:] == [
+        "parallel: corrected=0 fixed_point=0 oscillation=2 max_iters=0 rounds 2:2"
+    ]
 
 
 def test_verify_expansion(small_code, capsys):

@@ -78,8 +78,13 @@ def test_infeasible_girth_raises_generation_error():
     # graph, with twice its girth; on 8 vertices a cubic graph has girth at
     # most 4 (girth 6 needs the 14 of the Heawood graph), so 8 is the best
     # there is, and the repair reaches it
-    with pytest.raises(GenerationError, match=r"\(best girth reached 8\); try a larger n"):
+    with pytest.raises(GenerationError,
+                       match=r"after 3000 swap attempts \(best girth reached 8\); try a larger n"):
         generate_code(12, 2, 3, 12, seed=2, swap_budget=3_000, restarts=8)
+    # a run that spends its whole budget reports the budget, not one attempt more
+    with pytest.raises(GenerationError,
+                       match=r"after 3000 swap attempts \(best girth reached 4\); try a larger n"):
+        generate_code(20, 3, 4, 8, seed=1, swap_budget=3_000, restarts=8)
     with pytest.raises(GenerationError, match=r"\(no simple socket matching found\)"):
         generate_code(12, 3, 4, 8, seed=1, restarts=0)
 

@@ -284,6 +284,31 @@ def test_theorem_holds_where_t_max_is_2():
         assert s.patterns_checked == 969
 
 
+def test_gadget_sweep_at_t_max_is_pinned():
+    # the (4,5)-cage gadget at gamma 8: n = 19, girth 10, t_max = 8; every
+    # value below was taken from helpers.reference_sweep (about 9 s for the
+    # four sweeps), the library's sweeps take well under a second each
+    t = build_gadget(8, 5).graph
+    assert (t.n, t.gamma, girth(t)) == (19, 8, 10)
+    assert guaranteed_correction_count(t.gamma, girth(t)) == 8
+    for algo, rounds, first, last in [
+        ("parallel", {1: 68704, 2: 6878},
+         (0, 1, 2, 3, 4, 5, 6, 10), (10, 12, 13, 14, 15, 16, 17, 18)),
+        ("serial", {1: 75218, 2: 364},
+         (0, 1, 2, 3, 4, 8, 12, 18), (0, 1, 8, 12, 15, 16, 17, 18)),
+    ]:
+        s = sweep_error_patterns(t, 8, algo)
+        assert s.patterns_checked == 75582
+        assert s.all_corrected
+        assert s.rounds_histogram == rounds
+        # with one round allowed, the patterns that needed two run out of rounds
+        s = sweep_error_patterns(t, 8, algo, max_iters=1)
+        assert s.status_counts == {"corrected": rounds[1], "fixed_point": 0,
+                                   "oscillation": 0, "max_iters": rounds[2]}
+        assert s.rounds_histogram == {1: 75582}
+        assert (len(s.failures), s.failures[0], s.failures[-1]) == (rounds[2], first, last)
+
+
 def test_single_decodes_build_the_graph_tables_once(monkeypatch):
     # the per-graph bitmask tables are cached on the graph, so a run of
     # single-pattern decodes builds them once

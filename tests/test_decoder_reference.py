@@ -5,7 +5,9 @@ allowed), and sparse ones of variable degree at most 4 with up to 80
 variables and checks, so that error, reach and check masks are wider than 64
 bits; random error patterns, random serial scan orders and small
 ``max_iters`` values. Every field of the result must agree, and so must
-every sweep of weight at most 3, counters included.
+the sweeps, counters included: every weight of codes with up to 14
+variables, whose prefix trees reach the full support, and weights up to 2
+of the sparse codes with 65 to 80 variables.
 """
 
 import pytest
@@ -105,11 +107,17 @@ def test_wide_sparse_decoders_match_reference(case):
 
 @st.composite
 def sweep_cases(draw):
-    n = draw(st.integers(1, 14))
-    t = _sparse_graph(draw, n, draw(st.integers(1, 12)))
-    weight = draw(st.integers(0, min(n, 3)))
+    # every weight of a short code, down to the full support, and the wide
+    # masks of a long one at small weights
+    n = draw(st.one_of(st.integers(1, 14), st.integers(65, 80)))
+    if n <= 14:
+        t = _sparse_graph(draw, n, draw(st.integers(1, 12)))
+        weight = draw(st.integers(0, n))
+    else:
+        t = _sparse_graph(draw, n, draw(st.integers(1, 80)))
+        weight = draw(st.integers(0, 2))
     algorithm = draw(st.sampled_from(["parallel", "serial"]))
-    max_iters = draw(st.sampled_from([None, 1, 2]))
+    max_iters = draw(st.sampled_from([None, 1, 2, 3]))
     return t, weight, algorithm, max_iters
 
 
@@ -122,3 +130,22 @@ def test_sweeps_match_reference(case):
     assert (s.patterns_checked, s.failures) == (checked, failures)
     assert list(s.status_counts.items()) == list(statuses.items())
     assert list(s.rounds_histogram.items()) == list(rounds.items())
+
+
+def test_sweep_tree_depth_is_not_bounded_by_recursion():
+    # the full support of a 1,100-variable code is a prefix tree 1,100 levels
+    # deep; each variable sits in three consecutive checks, so each variable
+    # sees two unsatisfied checks: parallel round 1 corrects the pattern and
+    # serial runs out of rounds
+    n = 1100
+    t = build_tanner_graph([(v, v + i) for v in range(n) for i in range(3)], n=n, m=n + 2)
+    e = ErrorPattern(n, range(n))
+    statuses = []
+    for algorithm, decode in (("parallel", decode_parallel), ("serial", decode_serial)):
+        s = sweep_error_patterns(t, n, algorithm, max_iters=1)
+        r = decode(t, e, 1)
+        assert s.patterns_checked == 1
+        assert s.status_counts[r.status.value] == 1
+        assert s.rounds_histogram == {r.rounds: 1}
+        statuses.append(r.status.value)
+    assert statuses == ["corrected", "max_iters"]
