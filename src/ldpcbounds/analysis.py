@@ -32,11 +32,18 @@ from typing import Iterable, Iterator, Union
 
 from .bounds import brute_force_f, moore_bound
 from .decoder import ErrorPattern, is_fixed_point
-from .graphs import CheckPartition, TannerGraph, girth, induced_check_partition, set_bits
+from .graphs import (
+    CheckPartition,
+    TannerGraph,
+    check_parity_masks,
+    girth,
+    induced_check_partition,
+    set_bits,
+)
 
 
 class _SubsetWalk:
-    """Connected variable subsets of sizes ``1..max_size``, sizes ascending.
+    """Connected variable subsets of sizes ``1..max_size``.
 
     Two variables are linked when they share a check, and only subsets that
     are connected under this link are handed out. Skipping the rest is exact
@@ -53,28 +60,40 @@ class _SubsetWalk:
       it. Every part of a (potential) trapping set is one too, and every
       smallest one is connected.
 
-    Within a size, subsets come in blocks by smallest member, ascending. A
-    block is the ESU enumeration (Wernicke, IEEE/ACM TCBB 2006) rooted at
-    that member: a subset grows only by members above the root, each drawn
-    from an extension set that hands every connected subset out exactly
-    once. So the lexicographically first subset of a size with some property
-    lies in the first block that has one; a caller that wants it calls
-    :meth:`finish_block` on its first hit, and the walk stops once that
-    block is done. Each size is walked again from its roots, so memory stays
-    at one explicit stack, which carries each subset's union of check masks.
+    Subsets come in blocks by smallest member, ascending. A block is the ESU
+    enumeration (Wernicke, IEEE/ACM TCBB 2006) rooted at that member: a
+    subset grows only by members above the root, each drawn from an
+    extension set that hands every connected subset out exactly once. The
+    walk goes depth first with one explicit stack, whose frames carry each
+    subset's extension set, the variables already in or linked to it, and
+    its union of check masks; a subset of the largest size is handed out
+    from its parent's frame and never pushed. The walk has two orders:
+
+    * size-major (the default): sizes ascending, each size walked again
+      from its roots and handed out alone. So the lexicographically first
+      subset of a size with some property lies in the first block that has
+      one; a caller that wants it calls :meth:`finish_block` on its first
+      hit, and the walk stops once that block is done.
+    * ``one_pass``: each root's tree is walked once, and every subset of
+      every size is handed out as its parent generates it (root, then
+      preorder), so a subset is walked once instead of once per size below
+      ``max_size``. Sizes come interleaved, so it suits callers whose answer
+      does not depend on the visit order.
 
     Items are ``(size, members, checks)``: ``members`` is the subset as a
     bitmask over variables and ``checks`` the union of their check masks.
     Stops after ``budget`` subsets. The counters stay exact when a caller
     breaks out of the loop: ``visited`` counts the subsets handed out,
     including the last one, and ``sizes_completed`` the sizes handed out in
-    full (not the size of a finished block).
+    full (not the size of a finished block; a one-pass walk completes its
+    sizes only at its end).
     """
 
-    def __init__(self, t: TannerGraph, max_size: int, budget: int):
+    def __init__(self, t: TannerGraph, max_size: int, budget: int, one_pass: bool = False):
         self.t = t
         self.max_size = max_size
         self.budget = budget
+        self.one_pass = one_pass
         self.visited = 0
         self.sizes_completed = 0
         self.complete = True
@@ -87,12 +106,11 @@ class _SubsetWalk:
     def __iter__(self) -> Iterator[tuple[int, int, int]]:
         t = self.t
         masks = t.var_masks
-        linked = [0] * t.n
-        for adj in t.check_adj:
-            group = sum(1 << v for v in adj)
-            for v in adj:
-                linked[v] |= group
-        for k in range(1, min(self.max_size, t.n) + 1):
+        reach = t.var_reach
+        one_pass = self.one_pass
+        sizes = range(1, min(self.max_size, t.n) + 1)
+        # one pass goes to the largest size and hands out every level on the way
+        for k in sizes[-1:] if one_pass else sizes:
             for root in range(t.n):
                 above = -1 << (root + 1)
                 # (members, extension, members and their links, checks, size),
@@ -100,27 +118,26 @@ class _SubsetWalk:
                 stack = [(0, 1 << root, 1 << root, 0, 0)]
                 while stack:
                     members, ext, closed, checks, size = stack.pop()
-                    if size == k - 1:
-                        while ext:
-                            low = ext & -ext
-                            ext ^= low
-                            if self.visited >= self.budget:
-                                self.complete = False
-                                return
-                            self.visited += 1
-                            yield k, members | low, checks | masks[low.bit_length() - 1]
-                        continue
                     size += 1
+                    last = size == k
                     while ext:
                         low = ext & -ext
                         ext ^= low
                         w = low.bit_length() - 1
-                        # the exclusive neighbours of w: above the root and not
-                        # yet in, or linked to, the subset
-                        grown = ext | (linked[w] & ~closed & above)
-                        if grown:
-                            stack.append((members | low, grown, closed | linked[w],
-                                          checks | masks[w], size))
+                        grown_checks = checks | masks[w]
+                        if last or one_pass:
+                            if self.visited >= self.budget:
+                                self.complete = False
+                                return
+                            self.visited += 1
+                            yield size, members | low, grown_checks
+                        if not last:
+                            # the exclusive neighbours of w: above the root and
+                            # not yet in, or linked to, the subset
+                            grown = ext | (reach[w] & ~closed & above)
+                            if grown:
+                                stack.append((members | low, grown, closed | reach[w],
+                                              grown_checks, size))
                 if self._last_block:
                     return
             self.sizes_completed = k
@@ -165,16 +182,28 @@ def verify_main_theorem(
     """Check ``|N(S)| > (3 gamma / 4) |S|`` for every subset the theorem covers.
 
     Walks the connected subsets of each size ``k < moore_bound(gamma/2,
-    girth/2)``, sizes ascending (see :class:`_SubsetWalk`). That is exact:
-    a disconnected subset's ratio is a mediant of its connected parts'
-    ratios, so the worst ratio and any failure occur on a connected subset,
-    and the reported worst subset is the first minimiser in (size,
-    lexicographic) order over all subsets. This inequality is a theorem for
-    left-regular simple Tanner graphs of the stated girth, so a failed
-    certificate on such a graph indicates a bug or a malformed input; the
-    worst subset is reported either way. ``budget`` caps the number of
-    connected subsets visited and yields a partial (``complete=False``)
-    certificate when exceeded; ``subsets_checked`` counts connected subsets.
+    girth/2)`` (see :class:`_SubsetWalk`). That is exact: a disconnected
+    subset's ratio is a mediant of its connected parts' ratios, so the worst
+    ratio and any failure occur on a connected subset, and the reported
+    worst subset is the first minimiser in (size, lexicographic) order over
+    all subsets. This inequality is a theorem for left-regular simple Tanner
+    graphs of the stated girth, so a failed certificate on such a graph
+    indicates a bug or a malformed input; the worst subset is reported
+    either way.
+
+    The subsets are walked in one pass, each once, all sizes interleaved.
+    The answer does not depend on that order: ``passed`` asks whether any
+    ratio is at or below the threshold, and the worst subset is the one
+    minimiser that is smallest in (ratio, size, lexicographic) order, since
+    a tie goes to the smaller size and then to the lexicographically first.
+
+    ``budget`` caps the number of connected subsets visited and yields a
+    partial (``complete=False``) certificate when exceeded;
+    ``subsets_checked`` counts connected subsets. The budget counts them
+    sizes ascending: when the one pass would visit more than ``budget``
+    subsets, it stops, and the certificate is walked again size by size
+    (at most ``budget`` more subsets), so a partial certificate covers every
+    smaller size in full and ``k_max_checked`` stays the sizes completed.
     """
     if t.gamma is None:
         raise ValueError("graph is not left-regular; expansion theorem needs a single gamma")
@@ -188,35 +217,44 @@ def verify_main_theorem(
     n0 = moore_bound(Fraction(t.gamma, 2), g // 2)
     # largest integer strictly below the Moore count
     k_required = math.ceil(n0) - 1
-    walk = _SubsetWalk(t, k_required, budget)
     # ratios compare as |N(S)| * |S'| against |N(S')| * |S|, in integers
     bound_num, bound_den = Fraction(threshold).as_integer_ratio()
-    worst_members = worst_count = worst_size = 0
-    passed = True
-    for size, members, checks in walk:
-        count = checks.bit_count()
-        lhs = count * worst_size
-        rhs = worst_count * size
-        if not worst_size or lhs < rhs or (
-            lhs == rhs and size == worst_size
-            # lexicographically first: the lowest member where they differ is ours
-            and (members ^ worst_members) & -(members ^ worst_members) & members
-        ):
-            worst_members, worst_count, worst_size = members, count, size
-        if count * bound_den <= bound_num * size:
-            passed = False
-    return ExpansionCertificate(
-        gamma=t.gamma,
-        girth=g,
-        threshold=threshold,
-        k_max_required=k_required,
-        k_max_checked=walk.sizes_completed,
-        subsets_checked=walk.visited,
-        worst_subset=set_bits(worst_members),
-        worst_expansion=Fraction(worst_count, worst_size) if worst_size else None,
-        passed=passed,
-        complete=walk.complete,
-    )
+
+    def audit(walk: _SubsetWalk) -> ExpansionCertificate:
+        worst_members = worst_count = worst_size = 0
+        passed = True
+        for size, members, checks in walk:
+            count = checks.bit_count()
+            lhs = count * worst_size
+            rhs = worst_count * size
+            # a tie goes to the smaller size, then to the lexicographically
+            # first: the lowest member where the two differ is ours
+            if not worst_size or lhs < rhs or (lhs == rhs and (
+                size < worst_size
+                or (size == worst_size
+                    and (members ^ worst_members) & -(members ^ worst_members) & members)
+            )):
+                worst_members, worst_count, worst_size = members, count, size
+            if count * bound_den <= bound_num * size:
+                passed = False
+        return ExpansionCertificate(
+            gamma=t.gamma,
+            girth=g,
+            threshold=threshold,
+            k_max_required=k_required,
+            k_max_checked=walk.sizes_completed,
+            subsets_checked=walk.visited,
+            worst_subset=set_bits(worst_members),
+            worst_expansion=Fraction(worst_count, worst_size) if worst_size else None,
+            passed=passed,
+            complete=walk.complete,
+        )
+
+    cert = audit(_SubsetWalk(t, k_required, budget, one_pass=True))
+    if not cert.complete:
+        # the budget counts subsets sizes ascending: walk that order again
+        cert = audit(_SubsetWalk(t, k_required, budget))
+    return cert
 
 
 @dataclass(frozen=True)
@@ -269,32 +307,33 @@ def check_lemmas(t: TannerGraph, subset: Iterable[int]) -> LemmaCheck:
     )
 
 
-def _condition_a(t: TannerGraph, subset: Iterable[int]) -> bool:
+def _condition_a(t: TannerGraph, subset: Iterable[int], even: int) -> bool:
+    """Every member sees at least half its checks in ``even``, the subset's even checks."""
     masks = t.var_masks
-    parity = 0
-    present = 0
-    vs = list(subset)
-    for v in vs:
-        parity ^= masks[v]
-        present |= masks[v]
-    even = present & ~parity
-    for v in vs:
-        need = (t.var_degree(v) + 1) // 2
-        if (masks[v] & even).bit_count() < need:
+    for v in subset:
+        if 2 * (masks[v] & even).bit_count() < len(t.var_adj[v]):
             return False
     return True
 
 
-def _condition_b(t: TannerGraph, inside: set[int], odd_checks: Iterable[int]) -> Union[int, None]:
-    """Return an outside variable violating (b), or None when all comply."""
-    hits: dict[int, int] = {}
-    for c in odd_checks:
-        for u in t.check_adj[c]:
-            if u not in inside:
-                hits[u] = hits.get(u, 0) + 1
-    for u, h in hits.items():
-        if h > t.var_degree(u) // 2:
-            return u
+def _condition_b_witness(t: TannerGraph, subset: Iterable[int], odd: int) -> Union[int, None]:
+    """An outside variable violating (b), or None when all comply.
+
+    ``odd`` is the mask of the subset's odd checks; a violator sees more
+    than half its checks in it. The witness is the violator whose lowest
+    odd check is lowest, the lowest violator on ties.
+    """
+    masks = t.var_masks
+    seen = sum(1 << v for v in subset)
+    rest = odd
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        for u in t.check_adj[low.bit_length() - 1]:
+            if not seen >> u & 1:
+                seen |= 1 << u
+                if 2 * (masks[u] & odd).bit_count() > len(t.var_adj[u]):
+                    return u
     return None
 
 
@@ -305,7 +344,7 @@ def is_potential_trapping_set(t: TannerGraph, subset: Iterable[int]) -> bool:
         raise ValueError("variable subset must be nonempty")
     if s and (min(s) < 0 or max(s) >= t.n):
         raise ValueError("variable index out of range")
-    return _condition_a(t, s)
+    return _condition_a(t, s, check_parity_masks(t, s)[0])
 
 
 @dataclass(frozen=True)
@@ -331,8 +370,9 @@ def classify_subset(t: TannerGraph, subset: Iterable[int]) -> SubsetReport:
     """Evaluate both trapping conditions and the neighbourhood statistics."""
     s = tuple(sorted(set(subset)))
     part = induced_check_partition(t, s)
-    cond_a = _condition_a(t, s)
-    witness = _condition_b(t, set(s), part.odd)
+    even, odd, _ = check_parity_masks(t, s)
+    cond_a = _condition_a(t, s, even)
+    witness = _condition_b_witness(t, s, odd)
     cond_b = witness is None
     return SubsetReport(
         subset=s,
@@ -408,7 +448,8 @@ def search_min_trapping_set(
     found = None
     for _, members, _ in walk:
         subset = set_bits(members)
-        if _condition_a(t, subset) and (found is None or subset < found.subset):
+        if (_condition_a(t, subset, check_parity_masks(t, subset)[0])
+                and (found is None or subset < found.subset)):
             report = classify_subset(t, subset)
             if potential_only or report.is_trapping:
                 found = report

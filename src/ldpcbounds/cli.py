@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import math
 import sys
@@ -49,6 +48,10 @@ def _jsonable(obj):
 
 
 def _sha256(path: str) -> str:
+    # imported here: loading hashlib (OpenSSL) costs a process about 2.4 MiB,
+    # and the commands that hash no file never pay it
+    import hashlib
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         digest.update(fh.read())

@@ -278,6 +278,24 @@ class CheckPartition:
         return len(self.even) + len(self.odd)
 
 
+def check_parity_masks(t: TannerGraph, subset: Iterable[int]) -> tuple[int, int, int]:
+    """``(even, odd, pendant)``: the checks a variable subset meets, as bitmasks.
+
+    Bit ``c`` is set in ``even`` when check ``c`` meets the subset an even,
+    nonzero number of times, in ``odd`` when an odd number of times, and in
+    ``pendant`` when exactly once. The subset's members are taken as
+    valid, distinct variables.
+    """
+    masks = t.var_masks
+    odd = present = twice = 0
+    for v in subset:
+        m = masks[v]
+        twice |= present & m
+        present |= m
+        odd ^= m
+    return present & ~odd, odd, present & ~twice
+
+
 def induced_check_partition(t: TannerGraph, subset: Iterable[int]) -> CheckPartition:
     """Classify the check neighbourhood of a nonempty variable subset by parity."""
     s = sorted(set(subset))
@@ -285,14 +303,9 @@ def induced_check_partition(t: TannerGraph, subset: Iterable[int]) -> CheckParti
         raise ValueError("variable subset must be nonempty")
     if s[0] < 0 or s[-1] >= t.n:
         raise ValueError(f"variable index out of range in subset: {s[0] if s[0] < 0 else s[-1]}")
-    induced: dict[int, int] = {}
-    for v in s:
-        for c in t.var_adj[v]:
-            induced[c] = induced.get(c, 0) + 1
-    even = tuple(sorted(c for c, d in induced.items() if d % 2 == 0))
-    odd = tuple(sorted(c for c, d in induced.items() if d % 2 == 1))
-    pendant = tuple(sorted(c for c, d in induced.items() if d == 1))
-    return CheckPartition(even, odd, pendant, sum(induced.values()))
+    even, odd, pendant = check_parity_masks(t, s)
+    edges = sum(t.var_masks[v].bit_count() for v in s)
+    return CheckPartition(set_bits(even), set_bits(odd), set_bits(pendant), edges)
 
 
 def cycle_graph(length: int) -> Graph:

@@ -81,3 +81,22 @@ def eight_cycle_code():
     # 4 variables and 4 checks joined in a single 8-cycle; 1111 is a codeword
     edges = [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (0, 3)]
     return build_tanner_graph(edges)
+
+
+@pytest.fixture(scope="session")
+def pendant_square_code():
+    """A 4-cycle of variables 1-4 with variable 0 hanging off variable 1, at gamma = 6.
+
+    Each link is a check of degree 2, and degree-1 checks fill every
+    variable up to six; Tanner girth 8. A connected subset S has
+    ``|N(S)| = 6|S| - (links inside S)``, so the worst ratio, 5, is reached
+    at size 4 by the square and at size 5 by the whole code.
+    """
+    links = [(1, 2), (2, 3), (3, 4), (1, 4), (0, 1)]
+    pairs = [(v, c) for c, link in enumerate(links) for v in link]
+    spare = len(links)
+    for v in range(5):
+        for _ in range(6 - sum(v in link for link in links)):
+            pairs.append((v, spare))
+            spare += 1
+    return build_tanner_graph(pairs)

@@ -19,7 +19,9 @@ order, as the library did before it walked connected subsets only:
 ``connected_subsets`` filters them by networkx connectivity of the
 share-a-check graph, and the reference certificate and trapping-set search
 visit every subset and test the trapping conditions from their definitions.
-None of them imports ``ldpcbounds.analysis``. ``reference_brute_force_f``
+``reference_subset_report`` states every field of a subset's
+classification per check and per variable. None of them imports
+``ldpcbounds.analysis``. ``reference_brute_force_f``
 is the extremal edge count without the vertex-deletion ceiling.
 """
 
@@ -267,6 +269,43 @@ def reference_certificate(t: TannerGraph, max_size: int, threshold: Fraction):
             if ratio <= threshold:
                 passed = False
     return worst_subset, worst, passed
+
+
+def reference_subset_report(t: TannerGraph, subset) -> dict:
+    """Oracle: the fields of ``classify_subset``, each computed from its definition.
+
+    ``partition`` is ``(even, odd, pendant, induced_edge_count)``: a check
+    is even, odd or pendant when the subset meets it an even nonzero
+    number of times, an odd number of times, or exactly once. Condition
+    (a): every member sees at least half its checks even; condition (b):
+    no outside variable sees more than half its checks odd. The witness is
+    the violator of (b) whose lowest odd check is lowest, the lowest
+    violator on ties.
+    """
+    s = tuple(sorted(set(subset)))
+    meets = [sum(1 for v in s if c in t.var_adj[v]) for c in range(t.m)]
+    even = tuple(c for c in range(t.m) if meets[c] and meets[c] % 2 == 0)
+    odd = tuple(c for c in range(t.m) if meets[c] % 2 == 1)
+    pendant = tuple(c for c in range(t.m) if meets[c] == 1)
+
+    def seen(v, checks):
+        return sum(1 for c in t.var_adj[v] if c in checks)
+
+    condition_a = all(2 * seen(v, even) >= len(t.var_adj[v]) for v in s)
+    violators = [u for u in range(t.n)
+                 if u not in s and 2 * seen(u, odd) > len(t.var_adj[u])]
+    witness = min(violators, default=None,
+                  key=lambda u: (min(c for c in t.var_adj[u] if c in odd), u))
+    return {
+        "subset": s,
+        "partition": (even, odd, pendant, sum(meets)),
+        "expansion": Fraction(len(even) + len(odd), len(s)),
+        "signature": (len(s), len(odd)),
+        "condition_a": condition_a,
+        "condition_b": witness is None,
+        "condition_b_witness": witness,
+        "is_trapping": condition_a and witness is None,
+    }
 
 
 def _reference_traps(t: TannerGraph, s, potential_only: bool) -> bool:

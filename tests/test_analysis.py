@@ -88,6 +88,38 @@ def test_expansion_certificate_budget_truncation(code_g3_girth8_n30):
             checked, k_done, complete)
 
 
+def test_dense_gadget_certificate_is_pinned():
+    """The gamma = 8 gadget, n = 19, sizes 1..16: the largest certificate in the suite.
+
+    The worst subset and ratio are ``helpers.reference_certificate`` over
+    every subset; the count is ``helpers.connected_counts``, which gives 969
+    connected subsets of size 16 (both take seconds, so they are not rerun).
+    """
+    t = build_gadget(8, 5).graph
+    cert = verify_main_theorem(t)
+    assert (cert.worst_subset, cert.worst_expansion, cert.passed) == (
+        tuple(range(16)), Fraction(25, 4), True)
+    assert (cert.subsets_checked, cert.k_max_required, cert.k_max_checked, cert.complete) == (
+        285_013, 16, 16, True)
+    # exact-budget edges: one subset short stops inside size 16, where the
+    # subset left out is not the worst; the budget itself or more is the full walk
+    short = verify_main_theorem(t, budget=285_012)
+    assert (short.subsets_checked, short.k_max_checked, short.complete) == (285_012, 15, False)
+    assert (short.worst_subset, short.worst_expansion, short.passed) == (
+        cert.worst_subset, cert.worst_expansion, True)
+    assert verify_main_theorem(t, budget=285_013) == cert
+    assert verify_main_theorem(t, budget=285_014) == cert
+
+
+def test_certificate_tie_goes_to_the_smaller_size(pendant_square_code):
+    # the whole code, size 5, ties the square, size 4, at ratio 5; the
+    # smaller one comes first in (size, lexicographic) order, whichever
+    # order the walk meets them in
+    cert = verify_main_theorem(pendant_square_code)
+    assert (cert.worst_subset, cert.worst_expansion) == ((1, 2, 3, 4), 5)
+    assert (cert.k_max_required, cert.subsets_checked, cert.passed) == (5, 21, True)
+
+
 def test_expansion_certificate_threshold_override(code_g3_girth6_n12):
     cert = verify_main_theorem(code_g3_girth6_n12, threshold=Fraction(3))
     assert not cert.passed
