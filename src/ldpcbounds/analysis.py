@@ -38,6 +38,7 @@ from .graphs import (
     check_parity_masks,
     girth,
     induced_check_partition,
+    parity_partition,
     set_bits,
 )
 
@@ -369,8 +370,7 @@ class SubsetReport:
 def classify_subset(t: TannerGraph, subset: Iterable[int]) -> SubsetReport:
     """Evaluate both trapping conditions and the neighbourhood statistics."""
     s = tuple(sorted(set(subset)))
-    part = induced_check_partition(t, s)
-    even, odd, _ = check_parity_masks(t, s)
+    part, even, odd = parity_partition(t, s)
     cond_a = _condition_a(t, s, even)
     witness = _condition_b_witness(t, s, odd)
     cond_b = witness is None

@@ -2,13 +2,13 @@
 
 Construction is socket matching: gamma stubs per variable, rho per check,
 shuffled and paired. Parallel edges are repaired by swapping stubs; short
-cycles are repaired by 2-opt edge swaps. A swap is accepted only when both
-replacement edges close no cycle below the target girth, so the number of
-offending cycles never increases and the repair loop cannot regress. That
-check meets in the middle: two breadth-first balls of half the radius, one
-around each end of the edge.
-Everything is driven by one seeded generator, so output is a deterministic
-function of the arguments.
+cycles, found by ``graphs.short_cycle`` from each variable in turn, by
+2-opt edge swaps. A swap is accepted only when both replacement edges
+close no cycle below the target girth, so the number of offending cycles
+never increases and the repair loop cannot regress. That check meets in
+the middle: two breadth-first balls of half the radius, one around each
+end of the edge. Everything is driven by one seeded generator, so output
+is a deterministic function of the arguments.
 
 Girth targets near the Moore limit for the chosen size are infeasible; the
 generator gives up after a swap budget across a few restarts and, naming the
@@ -18,64 +18,13 @@ best girth it reached, suggests a larger n rather than spinning forever.
 from __future__ import annotations
 
 import random
+from itertools import chain
 
-from .graphs import TannerGraph, build_tanner_graph, girth
+from .graphs import TannerGraph, build_tanner_graph, girth, short_cycle
 
 
 class GenerationError(RuntimeError):
     """The swap budget ran out before the target girth was reached."""
-
-
-def _find_short_cycle(var_adj, check_adj, n, target, start=0):
-    """Locate any cycle shorter than target, as a list of (var, check) edges.
-
-    Breadth-first search from each variable (checks sit at odd depth, offset
-    by n); a met frontier closes a cycle, reconstructed through parents up
-    to the divergence point. Starts scanning at ``start`` so repair resumes
-    near the previous offender.
-    """
-    depth_cap = target // 2
-    for offset in range(n):
-        s = (start + offset) % n
-        dist = {s: 0}
-        parent = {s: -1}
-        frontier = [s]
-        depth = 0
-        while frontier and depth < depth_cap:
-            depth += 1
-            nxt = []
-            for u in frontier:
-                nbrs = var_adj[u] if u < n else check_adj[u - n]
-                for raw in nbrs:
-                    w = raw + n if u < n else raw
-                    if w == parent[u]:
-                        continue
-                    if w in dist:
-                        if dist[u] + dist[w] + 1 < target:
-                            path_u, path_w = [u], [w]
-                            x, y = u, w
-                            while x != y:
-                                if dist[x] >= dist[y]:
-                                    x = parent[x]
-                                    path_u.append(x)
-                                else:
-                                    y = parent[y]
-                                    path_w.append(y)
-                            nodes = path_u + path_w[::-1][1:]
-                            nodes.append(u)
-                            edges = []
-                            for a, b in zip(nodes, nodes[1:]):
-                                if a < n:
-                                    edges.append((a, b - n))
-                                else:
-                                    edges.append((b, a - n))
-                            return edges
-                    else:
-                        dist[w] = depth
-                        parent[w] = u
-                        nxt.append(w)
-            frontier = nxt
-    return None
 
 
 def _layers(adj, src, side, avoid, radius):
@@ -124,16 +73,27 @@ def _edge_cycle_ok(var_adj, check_adj, v, c, target):
     return True
 
 
+def _swap(var_adj, check_adj, v, c, v2, c2):
+    """Replace edges (v, c) and (v2, c2) by (v, c2) and (v2, c); swapping c and c2 undoes it."""
+    var_adj[v].discard(c)
+    check_adj[c].discard(v)
+    var_adj[v2].discard(c2)
+    check_adj[c2].discard(v2)
+    var_adj[v].add(c2)
+    check_adj[c2].add(v)
+    var_adj[v2].add(c)
+    check_adj[c].add(v2)
+
+
 def _try_repair(var_adj, check_adj, edge_list, n, target, rng, budget):
     """Swap edges until no short cycle remains; returns (success, attempts)."""
     attempts = 0
     start = 0
     while True:
-        cycle = _find_short_cycle(var_adj, check_adj, n, target, start)
+        cycle = short_cycle(var_adj, check_adj, chain(range(start, n), range(start)), target)
         if cycle is None:
             return True, attempts
         start = cycle[0][0]
-        cycle = list(cycle)
         rng.shuffle(cycle)
         fixed = False
         for v, c in cycle:
@@ -144,14 +104,7 @@ def _try_repair(var_adj, check_adj, edge_list, n, target, rng, budget):
                 v2, c2 = edge_list[rng.randrange(len(edge_list))]
                 if v2 == v or c2 == c or c2 in var_adj[v] or c in var_adj[v2]:
                     continue
-                var_adj[v].discard(c)
-                check_adj[c].discard(v)
-                var_adj[v2].discard(c2)
-                check_adj[c2].discard(v2)
-                var_adj[v].add(c2)
-                check_adj[c2].add(v)
-                var_adj[v2].add(c)
-                check_adj[c].add(v2)
+                _swap(var_adj, check_adj, v, c, v2, c2)
                 if _edge_cycle_ok(var_adj, check_adj, v, c2, target) and _edge_cycle_ok(
                     var_adj, check_adj, v2, c, target
                 ):
@@ -161,14 +114,7 @@ def _try_repair(var_adj, check_adj, edge_list, n, target, rng, budget):
                     edge_list.append((v2, c))
                     fixed = True
                     break
-                var_adj[v].discard(c2)
-                check_adj[c2].discard(v)
-                var_adj[v2].discard(c)
-                check_adj[c].discard(v2)
-                var_adj[v].add(c)
-                check_adj[c].add(v)
-                var_adj[v2].add(c2)
-                check_adj[c2].add(v2)
+                _swap(var_adj, check_adj, v, c2, v2, c)
             if fixed:
                 break
         if not fixed:

@@ -1,4 +1,4 @@
-"""Simple-graph and Tanner-graph primitives: construction, degrees, girth.
+"""Graph and Tanner-graph primitives: construction, degrees, the one cycle search.
 
 Graphs are frozen dataclasses over tuples, immutable once built, with
 adjacency lists kept sorted so iteration order is deterministic. Variables
@@ -79,7 +79,10 @@ class Graph:
 
     @cached_property
     def _girth(self) -> Union[int, float]:
-        return _shortest_cycle(self, range(self.n))
+        from .transforms import edge_vertex_incidence  # doubles every cycle's length
+
+        doubled = girth(edge_vertex_incidence(self))
+        return doubled if doubled == math.inf else doubled // 2
 
 
 def set_bits(mask: int) -> tuple[int, ...]:
@@ -155,9 +158,9 @@ class TannerGraph:
 
     @cached_property
     def _girth(self) -> Union[int, float]:
-        # every cycle alternates sides, so roots on the smaller side suffice
-        smaller = range(self.n, self.n + self.m) if self.m < self.n else range(self.n)
-        return _shortest_cycle(self.as_graph(), smaller)
+        if self.m < self.n:
+            return _bipartite_girth(self.check_adj, self.var_adj)
+        return _bipartite_girth(self.var_adj, self.check_adj)
 
 
 def build_tanner_graph(
@@ -216,45 +219,101 @@ def girth(g: Union[Graph, TannerGraph]) -> Union[int, float]:
     return g._girth
 
 
-def _shortest_cycle(g: Graph, roots: Iterable[int]) -> Union[int, float]:
-    """Girth by a breadth-first search from each of ``roots``.
+def short_cycle(near, far, roots, below) -> Union[list[tuple[int, int]], None]:
+    """The first cycle shorter than ``below`` that a breadth-first search from ``roots`` meets.
 
-    A non-tree edge ``(u, w)`` seen while expanding ``u`` closes a walk
-    through the root that holds a cycle of length at most
-    ``dist[u] + dist[w] + 1``, and a search from a node on a shortest cycle
-    finds exactly its length. So the minimum over the roots is the girth
-    whenever every cycle passes through a root: all nodes always qualify,
-    and in a bipartite graph so does either side, since every cycle
-    alternates sides. Each search stops as soon as its frontier is too deep
-    to improve on the best cycle found so far, and resets only the nodes it
-    reached.
+    ``near`` and ``far`` are a bipartite graph's two sides' adjacency as the
+    caller holds it (tuples or live sets), with the roots on the ``near``
+    side; its iteration order decides the cycle found. The first non-tree
+    edge ``(u, w)`` met with ``dist[u] + dist[w] + 1 < below`` (``below`` may
+    be ``math.inf``) gives the cycle it closes, as ``(near, far)`` edges from
+    ``u`` up both tree paths. A search from a node on such a cycle always
+    meets one, so ``None`` means none passes through a root. Each search
+    resets only the nodes it reached.
     """
-    best: Union[int, float] = math.inf
-    adj = g.adj
-    dist = [-1] * g.n
-    parent = [-1] * g.n
+    adj = (near, far)
+    dist = ([-1] * len(near), [-1] * len(far))
+    parent = ([-1] * len(near), [-1] * len(far))
     for root in roots:
-        dist[root] = 0
-        parent[root] = -1
-        queue = [root]
-        # iterating a list while appending to it visits the appended items: a FIFO
-        for u in queue:
-            du = dist[u]
-            if 2 * du >= best:
-                break
-            pu = parent[u]
-            for w in adj[u]:
-                dw = dist[w]
-                if dw < 0:
-                    dist[w] = du + 1
-                    parent[w] = u
-                    queue.append(w)
-                elif w != pu:
-                    cycle = du + dw + 1
-                    if cycle < best:
-                        best = cycle
-        for u in queue:
-            dist[u] = -1
+        dist[0][root] = 0
+        parent[0][root] = -1
+        layers = [[root]]
+        du = 0
+        # du < below // 2, but math.inf // 2 is nan; even depths are on the near side
+        while layers[-1] and 2 * du + 1 < below:
+            side = du & 1
+            nbrs, up = adj[side], parent[side]
+            dist_w, parent_w = dist[side ^ 1], parent[side ^ 1]
+            nxt = []
+            for u in layers[-1]:
+                pu = up[u]
+                for w in nbrs[u]:
+                    if w == pu:
+                        continue
+                    dw = dist_w[w]
+                    if dw < 0:
+                        dist_w[w] = du + 1
+                        parent_w[w] = u
+                        nxt.append(w)
+                    elif du + dw + 1 < below:
+                        return _tree_cycle(parent, (u, du), (w, dw))
+            layers.append(nxt)
+            du += 1
+        for d, layer in enumerate(layers):
+            reset = dist[d & 1]
+            for x in layer:
+                reset[x] = -1
+    return None
+
+
+def _tree_cycle(parent, end_u, end_w) -> list[tuple[int, int]]:
+    """The cycle that the non-tree edge between two ``(node, depth)`` ends closes, as edges."""
+    xs, ys = [end_u], [end_w]
+    while xs[-1] != ys[-1]:
+        (x, dx), (y, dy) = xs[-1], ys[-1]
+        if dx >= dy:
+            xs.append((parent[dx & 1][x], dx - 1))
+        else:
+            ys.append((parent[dy & 1][y], dy - 1))
+    nodes = xs + ys[-2::-1] + [end_u]
+    return [(a, b) if da & 1 == 0 else (b, a) for (a, da), (b, _) in zip(nodes, nodes[1:])]
+
+
+def _bipartite_girth(near, far) -> Union[int, float]:
+    """Girth of a bipartite graph, by :func:`short_cycle` from roots on the ``near`` side.
+
+    Every cycle alternates sides, so either side may be ``near``. A root is
+    searched again below each hit's length until it closes nothing shorter,
+    then deleted, as is every node left with under two live neighbours (on
+    no remaining cycle); searches still span the whole graph, so it is exact.
+    """
+    adj = (near, far)
+    live = ([len(x) for x in near], [len(x) for x in far])
+
+    def peel(doomed):
+        while doomed:
+            side, x = doomed.pop()
+            live[side][x] = 0
+            other = live[side ^ 1]
+            for y in adj[side][x]:
+                if other[y] >= 2:
+                    other[y] -= 1
+                    if other[y] < 2:
+                        doomed.append((side ^ 1, y))
+
+    def live_roots(first):
+        # a hit abandons this at its yield, leaving ``root`` for the next call
+        nonlocal root
+        for root in range(first, len(near)):
+            if live[0][root] >= 2:
+                yield root
+                peel([(0, root)])
+
+    peel([(side, x) for side in (0, 1) for x, d in enumerate(live[side]) if d < 2])
+    root = 0
+    best: Union[int, float] = math.inf
+    while (cycle := short_cycle(near, far, live_roots(root), best)) is not None:
+        best = len(cycle)
     return best
 
 
@@ -298,6 +357,11 @@ def check_parity_masks(t: TannerGraph, subset: Iterable[int]) -> tuple[int, int,
 
 def induced_check_partition(t: TannerGraph, subset: Iterable[int]) -> CheckPartition:
     """Classify the check neighbourhood of a nonempty variable subset by parity."""
+    return parity_partition(t, subset)[0]
+
+
+def parity_partition(t: TannerGraph, subset: Iterable[int]) -> tuple[CheckPartition, int, int]:
+    """:func:`induced_check_partition` and the ``even`` and ``odd`` masks it is built from."""
     s = sorted(set(subset))
     if not s:
         raise ValueError("variable subset must be nonempty")
@@ -305,7 +369,7 @@ def induced_check_partition(t: TannerGraph, subset: Iterable[int]) -> CheckParti
         raise ValueError(f"variable index out of range in subset: {s[0] if s[0] < 0 else s[-1]}")
     even, odd, pendant = check_parity_masks(t, s)
     edges = sum(t.var_masks[v].bit_count() for v in s)
-    return CheckPartition(set_bits(even), set_bits(odd), set_bits(pendant), edges)
+    return CheckPartition(set_bits(even), set_bits(odd), set_bits(pendant), edges), even, odd
 
 
 def cycle_graph(length: int) -> Graph:

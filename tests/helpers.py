@@ -5,7 +5,10 @@ library (per-edge deletion plus shortest path, versus per-node BFS cycle
 detection), so the two can disagree only if one of them is wrong.
 ``reference_edge_cycle_ok`` is the generator's edge predicate as one
 breadth-first search of full radius ``target - 2`` from the variable end;
-it does not import ``ldpcbounds.codegen``.
+``reference_find_short_cycle`` is the girth repair's scan for a short cycle
+witness, with dict tables, checks numbered after the variables, and the
+cycle rebuilt through parents. Neither imports ``ldpcbounds.codegen`` or
+the cycle search in ``ldpcbounds.graphs``.
 
 The reference decoders are the straightforward bit-flipping loops, one per
 schedule: they recompute the parity of every check and scan every variable
@@ -98,6 +101,57 @@ def reference_edge_cycle_ok(var_adj, check_adj, n, v, c, target):
                         nxt.append(i)
         frontier = nxt
     return True
+
+
+def reference_find_short_cycle(var_adj, check_adj, n, target, start=0):
+    """Oracle: any cycle shorter than target, as a list of (var, check) edges.
+
+    Breadth-first search from each variable in turn, starting at ``start``
+    and wrapping (checks sit at odd depth, offset by n); a met frontier
+    closes a cycle, rebuilt through parents up to the divergence point.
+    """
+    depth_cap = target // 2
+    for offset in range(n):
+        s = (start + offset) % n
+        dist = {s: 0}
+        parent = {s: -1}
+        frontier = [s]
+        depth = 0
+        while frontier and depth < depth_cap:
+            depth += 1
+            nxt = []
+            for u in frontier:
+                nbrs = var_adj[u] if u < n else check_adj[u - n]
+                for raw in nbrs:
+                    w = raw + n if u < n else raw
+                    if w == parent[u]:
+                        continue
+                    if w in dist:
+                        if dist[u] + dist[w] + 1 < target:
+                            path_u, path_w = [u], [w]
+                            x, y = u, w
+                            while x != y:
+                                if dist[x] >= dist[y]:
+                                    x = parent[x]
+                                    path_u.append(x)
+                                else:
+                                    y = parent[y]
+                                    path_w.append(y)
+                            nodes = path_u + path_w[::-1][1:]
+                            nodes.append(u)
+                            edges = []
+                            for a, b in zip(nodes, nodes[1:]):
+                                if a < n:
+                                    edges.append((a, b - n))
+                                else:
+                                    edges.append((b, a - n))
+                            return edges
+                    else:
+                        dist[w] = depth
+                        parent[w] = u
+                        nxt.append(w)
+            frontier = nxt
+    return None
 
 
 def to_networkx(g: Graph):

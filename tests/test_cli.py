@@ -100,11 +100,14 @@ def test_gen_girth_decode_pipeline(small_code, capsys):
 
 def test_gen_computes_girth_once(tmp_path, capsys, monkeypatch):
     # the generator's postcondition, the report and the stderr summary all
-    # need the girth; it is kept on the graph after the first search
+    # need the girth; it is kept on the graph after the first search. The
+    # girth repair's cycle scans call graphs.short_cycle directly, so only
+    # girth searches pass through this seam
     searches = []
-    shortest_cycle = graphs._shortest_cycle
-    monkeypatch.setattr(graphs, "_shortest_cycle",
-                        lambda g, *rest: searches.append(g.n) or shortest_cycle(g, *rest))
+    bipartite_girth = graphs._bipartite_girth
+    monkeypatch.setattr(graphs, "_bipartite_girth",
+                        lambda near, far: searches.append(len(near) + len(far))
+                        or bipartite_girth(near, far))
     code, report, err = run_cli(
         capsys, "gen", "--n", "12", "--gamma", "3", "--rho", "4",
         "--min-girth", "6", "--seed", "1", "--out", str(tmp_path / "code.alist"),

@@ -54,8 +54,9 @@ def test_generation_validation():
 
 def test_generator_output_is_pinned():
     # sha256 of the alist bytes, taken before the girth repair's edge check
-    # met in the middle: the repair must draw from the generator exactly as
-    # it did then
+    # met in the middle (the last two, the benchmark's largest shapes, before
+    # the repair's cycle scan moved into graphs.short_cycle): the repair must
+    # draw from the generator exactly as it did then
     pins = {
         (120, 3, 4, 8): "cfba02fa40ae8e249bcb6c85b360b2bbc49208f1e9735c82682a345586d19dac",
         (240, 3, 4, 8): "0168e2b0d291b934df2b1e9b6e9c3e17f5dd7accf1ab1d28e9f7e721f405bf91",
@@ -63,6 +64,8 @@ def test_generator_output_is_pinned():
         (600, 3, 6, 8): "98127211ded67346d5b4fa8939ed67825e38298e0f83b02ae9bab1a1edbbbc23",
         (400, 3, 4, 10): "25e8393d7cb799ccacd3f4cb949b1cc8286e75d84164f9971ac6e2188277fdf7",
         (600, 3, 4, 10): "e803fc231d54714b107b13f190cb3741e6ad03de624bb2269f5eb2962addee50",
+        (1024, 4, 4, 8): "d5e688225e65ca954800f0b003867c84cd97e9b7cb96174fa8d925cae3a6822f",
+        (2400, 3, 4, 10): "1aee61dd4bf4ddd4a7086709e64817c27632543dc23d81476a2fdb3477c39eed",
     }
     for args, digest in pins.items():
         text = to_alist_string(generate_code(*args, seed=1))

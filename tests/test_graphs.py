@@ -13,6 +13,7 @@ from ldpcbounds import (
     complete_graph,
     cycle_graph,
     girth,
+    graphs,
     induced_check_partition,
 )
 from ldpcbounds.cages import cage
@@ -49,6 +50,29 @@ def test_girth_acyclic_is_infinite():
 def test_girth_is_at_least_three_or_infinite():
     for g in graph_corpus(seed=13, count=20):
         assert girth(g) >= 3
+
+
+def test_girth_searches_only_roots_on_a_remaining_cycle(monkeypatch):
+    # a finished root is deleted and every node left with fewer than two live
+    # neighbours is peeled, so a long cycle takes two searches from one root
+    # (one finds it, one proves nothing shorter passes through it) and a
+    # forest takes none
+    searched = []
+    kernel = graphs.short_cycle
+    monkeypatch.setattr(graphs, "short_cycle", lambda near, far, roots, below: kernel(
+        near, far, (searched.append(r) or r for r in roots), below))
+    assert girth(cycle_graph(1000)) == 1000
+    assert len(searched) <= 2
+    searched.clear()
+    # the same cycle with a 500-node path hanging off it
+    tail = [(i, i + 1) for i in range(999, 1499)]
+    lollipop = Graph.from_edges(1500, [(i, (i + 1) % 1000) for i in range(1000)] + tail)
+    assert girth(lollipop) == 1000
+    assert len(searched) <= 2
+    searched.clear()
+    assert girth(Graph.from_edges(1000, [(i, i + 1) for i in range(999)])) == math.inf
+    assert girth(build_tanner_graph([(v, v // 2) for v in range(1000)])) == math.inf
+    assert searched == []
 
 
 def test_eight_cycle_tanner_girth(eight_cycle_code):
