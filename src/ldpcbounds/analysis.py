@@ -31,7 +31,6 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
 from .bounds import brute_force_f, moore_bound
-from .decoder import ErrorPattern, is_fixed_point
 from .graphs import (
     CheckPartition,
     TannerGraph,
@@ -393,6 +392,8 @@ def is_trapping_set(t: TannerGraph, subset: Iterable[int]) -> bool:
 
 def trapping_matches_decoder(t: TannerGraph, subset: Iterable[int]) -> bool:
     """Cross-check the structural classification against the decoder itself."""
+    from .decoder import ErrorPattern, is_fixed_point
+
     s = tuple(sorted(set(subset)))
     structural = classify_subset(t, s).is_trapping
     behavioral = is_fixed_point(t, ErrorPattern(t.n, s))

@@ -52,13 +52,16 @@ def moore_bound(d: Rational, g: int) -> Fraction:
     even ``g = 2r`` it is ``2 * sum((d-1)^i, i=0..r-1)``. The count is exact
     and monotone in both arguments for ``d >= 1``, which is the accepted
     domain here; the correction theorem itself only relies on ``d >= 2``.
+    With ``q = d - 1`` the sum is ``r`` when ``q = 1``, else
+    ``(q^r - 1) / (q - 1)``, so the cost is one rational power.
     """
     d = _as_fraction(d, "average degree")
     g = _check_girth_arg(g)
     if d < 1:
         raise ValueError(f"average degree must be at least 1, got {d}")
     r = g // 2
-    geometric = sum((d - 1) ** i for i in range(r))
+    q = d - 1
+    geometric = Fraction(r) if q == 1 else (q**r - 1) / (q - 1)
     if g % 2 == 1:
         return 1 + d * geometric
     return 2 * geometric
@@ -210,6 +213,15 @@ def brute_force_f(k: int, g: Union[int, float]) -> int:
     deleting any one vertex leaves a ``(k-1)``-node graph of girth at least
     ``g``, so summing ``e - deg(u) <= f(k-1)`` over all ``u`` gives
     ``(k - 2) e <= k f(k-1)``.
+
+    Two shortcuts need no search. For ``k < g`` every such graph is a
+    forest, so ``f = k - 1``. For ``g <= k < ceil(3g/2) - 1``, ``f = k``: a
+    ``g``-cycle with a tree attached reaches it, and ``k + 1`` edges would
+    force two independent cycles, either in two components (``2g`` nodes)
+    or in one, which then holds a theta graph (three paths of lengths
+    ``a, b, c`` between two nodes, pairwise sums ``>= g``, so
+    ``a + b + c - 1 >= ceil(3g/2) - 1`` nodes) or two cycles sharing at most
+    one node (``>= 2g - 1`` nodes).
     """
     if k < 1:
         raise ValueError(f"node count must be positive, got {k}")
@@ -221,6 +233,8 @@ def brute_force_f(k: int, g: Union[int, float]) -> int:
         g = _check_girth_arg(g)
     if g == math.inf or k < g:
         return k - 1
+    if k < (3 * g + 1) // 2 - 1:
+        return k
     # Bipartite-style pairs first: dense girth-constrained graphs put their
     # edges across a balanced split, so good solutions appear early and the
     # count-based prune bites sooner.

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
-from .analysis import classify_subset, is_potential_trapping_set
 from .bounds import cage_upper_bound, moore_bound
 from .graphs import (
     Graph,
@@ -179,6 +178,9 @@ def build_gadget(gamma: int, g_prime: int) -> Gadget:
     size equals the cage order, which is exactly the structural size bound.
     Raises when the cage is not in the catalog, quoting the order bracket.
     """
+    # analysis is needed only by the gadget checks, so cage lookups skip it
+    from .analysis import classify_subset, is_potential_trapping_set
+
     if gamma < 2:
         raise ValueError(f"variable degree must be at least 2, got {gamma}")
     d = (gamma + 1) // 2
@@ -241,6 +243,8 @@ def embed_gadget(
     An empty host returns the gadget unchanged: with no outside variables,
     condition (b) is vacuous and the standalone gadget already traps.
     """
+    from .analysis import classify_subset
+
     if host.n == 0 and host.m == 0:
         return gadget
     inner = gadget.graph

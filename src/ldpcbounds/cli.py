@@ -20,15 +20,14 @@ import math
 import sys
 from enum import Enum
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .alist import read_alist, write_alist
-from .analysis import search_min_trapping_set, verify_main_theorem
-from .bounds import bound_report
-from .cages import CageEntry, UnknownCage, build_gadget, cage
-from .codegen import GenerationError, generate_code
-from .decoder import ALGORITHMS, DecodeStatus, ErrorPattern, sweep_error_patterns
-from .graphs import Graph, girth
+
+# Each command imports the library modules it calls, so a process loads only
+# what its subcommand runs (see the table in README.md).
+if TYPE_CHECKING:
+    from .graphs import Graph
 
 
 def _jsonable(obj):
@@ -71,6 +70,8 @@ def _emit(command: str, argv: list[str], result, inputs=None, seed=None, summary
 
 
 def _load_code(path: str):
+    from .alist import read_alist
+
     t = read_alist(path)
     return t, {"code": {"path": path, "sha256": _sha256(path)}}
 
@@ -85,6 +86,8 @@ def to_dot(g: Graph, name: str = "G") -> str:
 
 
 def _cmd_bounds(args, argv) -> int:
+    from .bounds import bound_report
+
     report = bound_report(args.gamma, args.girth)
     result = {
         "gamma": report.gamma,
@@ -103,6 +106,8 @@ def _cmd_bounds(args, argv) -> int:
 
 
 def _cmd_girth(args, argv) -> int:
+    from .graphs import girth
+
     t, inputs = _load_code(args.code)
     g = girth(t)
     result = {"n": t.n, "m": t.m, "gamma": t.gamma, "rho": t.rho, "girth": g}
@@ -118,6 +123,8 @@ def _parse_positions(text: str) -> tuple[int, ...]:
 
 
 def _cmd_decode(args, argv) -> int:
+    from .decoder import ALGORITHMS, DecodeStatus, ErrorPattern
+
     t, inputs = _load_code(args.code)
     pattern = ErrorPattern(t.n, _parse_positions(args.errors))
     decode = ALGORITHMS[args.algo]
@@ -136,6 +143,8 @@ def _cmd_decode(args, argv) -> int:
 
 
 def _cmd_verify_expansion(args, argv) -> int:
+    from .analysis import verify_main_theorem
+
     t, inputs = _load_code(args.code)
     cert = verify_main_theorem(t, budget=args.budget)
     _emit("verify-expansion", argv, cert, inputs=inputs,
@@ -145,6 +154,8 @@ def _cmd_verify_expansion(args, argv) -> int:
 
 
 def _cmd_verify_correction(args, argv) -> int:
+    from .decoder import sweep_error_patterns
+
     t, inputs = _load_code(args.code)
     algos = ["parallel", "serial"] if args.algo == "both" else [args.algo]
     sweeps = [sweep_error_patterns(t, args.weight, a, args.max_iters) for a in algos]
@@ -173,6 +184,8 @@ def _cmd_verify_correction(args, argv) -> int:
 
 
 def _cmd_find_trapping_sets(args, argv) -> int:
+    from .analysis import search_min_trapping_set
+
     t, inputs = _load_code(args.code)
     res = search_min_trapping_set(
         t, args.max_size, potential_only=args.potential_only, budget=args.budget
@@ -186,6 +199,10 @@ def _cmd_find_trapping_sets(args, argv) -> int:
 
 
 def _cmd_make_gadget(args, argv) -> int:
+    from .alist import write_alist
+    from .cages import build_gadget
+    from .graphs import girth
+
     gadget = build_gadget(args.gamma, args.gprime)
     write_alist(gadget.graph, args.out)
     result = {
@@ -203,6 +220,8 @@ def _cmd_make_gadget(args, argv) -> int:
 
 
 def _cmd_cage(args, argv) -> int:
+    from .cages import CageEntry, UnknownCage, cage
+
     entry = cage(args.d, args.g)
     if isinstance(entry, UnknownCage):
         _emit("cage", argv, {"known": False, "d": entry.d, "g": entry.g,
@@ -229,7 +248,15 @@ def _cmd_cage(args, argv) -> int:
 
 
 def _cmd_gen(args, argv) -> int:
-    t = generate_code(args.n, args.gamma, args.rho, args.min_girth, args.seed)
+    from .alist import write_alist
+    from .codegen import GenerationError, generate_code
+    from .graphs import girth
+
+    try:
+        t = generate_code(args.n, args.gamma, args.rho, args.min_girth, args.seed)
+    except GenerationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     write_alist(t, args.out)
     result = {
         "n": t.n,
@@ -265,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--code", required=True)
     p.add_argument("--errors", required=True,
                    help="comma-separated 0-based error positions, e.g. 3,7,11")
-    p.add_argument("--algo", choices=sorted(ALGORITHMS), default="parallel")
+    p.add_argument("--algo", choices=["parallel", "serial"], default="parallel")
     p.add_argument("--max-iters", type=int, default=None)
     p.set_defaults(func=_cmd_decode)
 
@@ -324,14 +351,19 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # reports are exact, so lift the interpreter's int-to-str digit limit
+    # while the command runs: moore_n0 at large girth has thousands of digits
+    saved = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if saved is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args, argv)
-    except GenerationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
 
 
 if __name__ == "__main__":

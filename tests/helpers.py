@@ -25,7 +25,9 @@ visit every subset and test the trapping conditions from their definitions.
 ``reference_subset_report`` states every field of a subset's
 classification per check and per variable. None of them imports
 ``ldpcbounds.analysis``. ``reference_brute_force_f``
-is the extremal edge count without the vertex-deletion ceiling.
+is the extremal edge count without the vertex-deletion ceiling or the
+cycle-count shortcut. ``reference_moore_bound`` sums the Moore bound's
+geometric series term by term, where the library uses its closed form.
 """
 
 from __future__ import annotations
@@ -443,3 +445,13 @@ def reference_brute_force_f(k: int, g: int) -> int:
 
     extend(0, 0)
     return best
+
+
+def reference_moore_bound(d, g: int) -> Fraction:
+    """Oracle: the Moore bound with its geometric series summed term by term."""
+    d = Fraction(d)
+    r = g // 2
+    geometric = sum((d - 1) ** i for i in range(r))
+    if g % 2 == 1:
+        return 1 + d * geometric
+    return 2 * geometric

@@ -179,6 +179,6 @@ def test_helpers_use_nothing_from_analysis():
 
 
 def test_brute_force_f_matches_reference():
-    for g in range(3, 9):
+    for g in range(3, 10):
         for k in range(1, 8):
             assert brute_force_f(k, g) == reference_brute_force_f(k, g), (k, g)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import graph_corpus
+from helpers import graph_corpus, reference_moore_bound
 from ldpcbounds import (
     BoundReport,
     TrappingSetSizeBound,
@@ -40,6 +40,15 @@ def test_moore_bound_returns_exact_fractions():
     v = moore_bound(Fraction(5, 2), 5)
     assert isinstance(v, Fraction)
     assert (v.numerator, v.denominator) == (29, 4)
+
+
+def test_moore_bound_closed_form_matches_summation():
+    degrees = [1, Fraction(4, 3), Fraction(3, 2), 2, Fraction(5, 2), Fraction(7, 3), 3, 4, 7]
+    for d in degrees:
+        for g in range(3, 61):
+            value = moore_bound(d, g)
+            assert isinstance(value, Fraction)
+            assert value == reference_moore_bound(d, g), (d, g)
 
 
 def test_moore_bound_monotone():
@@ -207,6 +216,12 @@ def test_brute_force_f_matches_triangle_free_maximum():
 def test_brute_force_f_cycle_when_k_equals_girth():
     for k in range(3, 9):
         assert brute_force_f(k, k) == k
+
+
+def test_brute_force_f_one_cycle_below_theta_size():
+    # below ceil(3g/2) - 1 nodes no two independent cycles of length >= g fit
+    assert brute_force_f(8, 7) == brute_force_f(8, 8) == 8
+    assert [brute_force_f(k, 7) for k in range(6, 9)] == [5, 7, 8]
 
 
 def test_brute_force_f_within_moore_inverse_bound():

@@ -4,13 +4,16 @@ import importlib
 import json
 import shutil
 import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from ldpcbounds import build_tanner_graph, graphs
+from helpers import reference_moore_bound
+from ldpcbounds import build_tanner_graph, decoder, graphs
 from ldpcbounds.alist import write_alist
-from ldpcbounds.cli import main, to_dot
+from ldpcbounds.cli import _build_parser, main, to_dot
 
 
 def run_cli(capsys, *argv):
@@ -277,6 +280,31 @@ def test_malformed_alist_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "girth", "--code", str(path))
     assert code == 2
     assert "line 1" in err
+
+
+def test_bounds_at_large_girth_prints_exact_moore_count(capsys):
+    # moore_n0 at gamma 3, girth 57200 is a fraction with 4,305-digit terms,
+    # above Python's default int-to-str limit of 4,300 digits
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    code, report, _ = run_cli(capsys, "bounds", "--gamma", "3", "--girth", "57200")
+    assert code == 0
+    assert report["result"]["t_max"] == 1
+    if limit is None:
+        moore_n0 = Fraction(report["result"]["moore_n0"])
+    else:
+        assert sys.get_int_max_str_digits() == limit  # main restores the limit
+        sys.set_int_max_str_digits(0)
+        try:
+            moore_n0 = Fraction(report["result"]["moore_n0"])
+        finally:
+            sys.set_int_max_str_digits(limit)
+    assert moore_n0 == reference_moore_bound(Fraction(3, 2), 28600)
+
+
+def test_decode_algo_choices_are_the_decoders():
+    subcommands = _build_parser()._subparsers._group_actions[0].choices
+    algo = subcommands["decode"]._option_string_actions["--algo"]
+    assert algo.choices == sorted(decoder.ALGORITHMS)
 
 
 def test_reports_are_reproducible(tmp_path, capsys):
